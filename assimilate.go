@@ -36,7 +36,10 @@ type (
 // NewPipelineCache returns an empty shareable artifact cache.
 func NewPipelineCache() *PipelineCache { return pipeline.NewMemStore() }
 
-// NewStageTimer returns an empty stage timer for Options.Timer.
+// NewStageTimer returns an empty stage timer. Feed it through
+// Options.StageHook to time executed stages:
+//
+//	StageHook: func(_ string, s PipelineStage) func() { return timer.Start(string(s)) }
 func NewStageTimer() *StageTimer { return telemetry.NewStageTimer() }
 
 // PipelineStages lists the engine's stages in execution order.
@@ -53,11 +56,6 @@ type Options struct {
 	// Workers bounds per-vendor parallelism; <= 1 runs sequentially.
 	// Results are deterministic and identical for any worker count.
 	Workers int
-	// StageWorkers bounds the intra-stage fan-out of the front-end stages
-	// (manual pages parsed concurrently, configuration files matched
-	// concurrently) within each vendor job; <= 1 keeps those stages
-	// sequential. Results are identical for any value.
-	StageWorkers int
 	// Cache is the artifact store consulted before every stage; nil uses a
 	// fresh store (no reuse across calls).
 	Cache *PipelineCache
@@ -83,9 +81,6 @@ type Options struct {
 	// LiveFailureBudget is the live stage's transport-failure budget; see
 	// the pipeline Job field of the same name. 0 takes the default.
 	LiveFailureBudget int
-	// Timer, when set, accumulates per-stage wall time of executed
-	// (non-cached) stages.
-	Timer *StageTimer
 	// Report builds the run observatory's per-run manifest: input content
 	// hashes, per-stage outcomes and attempts, cache hit/miss, worker-pool
 	// utilization, metrics delta, and a span summary, with every duration
@@ -93,19 +88,15 @@ type Options struct {
 	// carries it, /debug/lastrun serves it, and with CacheDir set it is
 	// also written under CacheDir/manifests/.
 	Report bool
-	// ProfileStages, when set, brackets every actual stage execution with
-	// pprof CPU + heap captures written to this directory (the flight
-	// recorder). CPU profiling is process-global, so overlapping stages
-	// serialize on the recorder; run with Workers <= 1 for faithful
-	// per-stage attribution.
-	ProfileStages string
 	// StageHook observes actual stage executions (cache hits never fire
 	// it): it is called immediately before each execution attempt and the
 	// returned func — which may be nil — runs when the attempt finishes.
-	// The serving daemon streams live per-stage progress through it; it
-	// composes with ProfileStages (both hooks fire). The hook is called
-	// from the engine's worker goroutines, so it must be safe for
-	// concurrent use.
+	// Assimilate sets no stage retries, so every execution is a single
+	// attempt and the hook brackets the stage's whole run. Stage timers
+	// (StageTimer.Start), the pprof flight recorder behind `nassim run
+	// -profile-stages`, and the serving daemon's live progress stream all
+	// attach here. The hook is called from the engine's worker goroutines,
+	// so it must be safe for concurrent use.
 	StageHook func(vendor string, stage PipelineStage) func()
 }
 
@@ -120,9 +111,6 @@ type Result struct {
 	Stats PipelineStats
 	// Report is the per-run manifest when Options.Report was set.
 	Report *RunReport
-	// Profiles lists the flight recorder's capture files when
-	// Options.ProfileStages was set.
-	Profiles []string
 }
 
 // Assimilate runs the complete SNA pipeline for the requested vendors:
@@ -173,19 +161,10 @@ func AssimilateModel(ctx context.Context, m *DeviceModel) (*AssimilationResult, 
 
 // assimilateModels builds one engine job per model and runs them.
 func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) (*Result, error) {
-	cfg := pipeline.Config{
-		Workers: opts.Workers, StageWorkers: opts.StageWorkers,
-		Store: storeOrNil(opts.Cache), CacheDir: opts.CacheDir, Timer: opts.Timer,
-	}
-	var flight *obsreport.FlightRecorder
-	if opts.ProfileStages != "" {
-		flight = obsreport.NewFlightRecorder(opts.ProfileStages)
-		cfg.StageHook = flight.StageHook()
-	}
-	if opts.StageHook != nil {
-		cfg.StageHook = chainStageHooks(cfg.StageHook, opts.StageHook)
-	}
-	eng, err := pipeline.New(cfg)
+	eng, err := pipeline.New(pipeline.Config{
+		Workers: opts.Workers, Store: storeOrNil(opts.Cache),
+		CacheDir: opts.CacheDir, StageHook: opts.StageHook,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +230,7 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 	}
 	if collector != nil {
 		info := obsreport.RunInfo{
-			Workers: opts.Workers, StageWorkers: opts.StageWorkers,
-			Scale: opts.Scale, Seed: opts.Seed,
+			Workers: opts.Workers, Scale: opts.Scale, Seed: opts.Seed,
 			Validate: opts.Validate, LiveTest: opts.LiveTest,
 			Chaos: opts.Chaos != nil, LiveFailureBudget: opts.LiveFailureBudget,
 		}
@@ -268,12 +246,6 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 			} else if err := res.Report.WriteFile(filepath.Join(dir, "latest.json")); err != nil {
 				Logger("obsreport").Warn("manifest write failed", "err", err)
 			}
-		}
-	}
-	if flight != nil {
-		res.Profiles = flight.Captures()
-		if err := flight.Err(); err != nil {
-			Logger("obsreport").Warn("flight recorder", "err", err)
 		}
 	}
 	for i, jr := range jrs {
@@ -303,25 +275,6 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 func closeAll(closers []func()) {
 	for _, c := range closers {
 		c()
-	}
-}
-
-// chainStageHooks composes stage observers: both fire before the stage,
-// their finish funcs run in reverse order after it. a may be nil.
-func chainStageHooks(a, b func(string, PipelineStage) func()) func(string, PipelineStage) func() {
-	if a == nil {
-		return b
-	}
-	return func(vendor string, stage PipelineStage) func() {
-		fa, fb := a(vendor, stage), b(vendor, stage)
-		return func() {
-			if fb != nil {
-				fb()
-			}
-			if fa != nil {
-				fa()
-			}
-		}
 	}
 }
 

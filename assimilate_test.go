@@ -140,26 +140,38 @@ func TestAssimilateDiskCache(t *testing.T) {
 	}
 }
 
-// TestAssimilateTimerObservesStages: Options.Timer accumulates wall time
-// for executed stages only.
+// TestAssimilateTimerObservesStages: a StageTimer fed through
+// Options.StageHook accumulates wall time for executed stages only, one
+// call per stage per run.
 func TestAssimilateTimerObservesStages(t *testing.T) {
 	timer := nassim.NewStageTimer()
 	cache := nassim.NewPipelineCache()
-	if _, err := nassim.Assimilate(context.Background(), nassim.Options{
-		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache, Timer: timer}); err != nil {
+	opts := nassim.Options{
+		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache,
+		StageHook: func(_ string, stage nassim.PipelineStage) func() { return timer.Start(string(stage)) },
+	}
+	res, err := nassim.Assimilate(context.Background(), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs := timer.Records()
-	if len(recs) == 0 {
-		t.Fatal("timer observed nothing")
-	}
 	counts := make(map[string]int)
-	for _, r := range recs {
+	for _, r := range timer.Records() {
 		counts[r.Name] = r.Calls
+		if r.TotalNS <= 0 {
+			t.Errorf("%s: no wall time recorded", r.Name)
+		}
+	}
+	ran := res.Results[0].StagesRun
+	if len(ran) == 0 || len(counts) != len(ran) {
+		t.Fatalf("timer saw stages %v, engine ran %v", counts, ran)
+	}
+	for _, st := range ran {
+		if counts[string(st)] != 1 {
+			t.Errorf("%s observed %d times, want 1", st, counts[string(st)])
+		}
 	}
 	// Warm re-run: no stage executes, so no new observations.
-	if _, err := nassim.Assimilate(context.Background(), nassim.Options{
-		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache, Timer: timer}); err != nil {
+	if _, err := nassim.Assimilate(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range timer.Records() {

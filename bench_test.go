@@ -545,7 +545,8 @@ func BenchmarkAssimilateParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := nassim.Assimilate(context.Background(), nassim.Options{
-			Scale: benchScale, Workers: workers, Validate: true, Timer: timer,
+			Scale: benchScale, Workers: workers, Validate: true,
+			StageHook: func(_ string, stage nassim.PipelineStage) func() { return timer.Start(string(stage)) },
 		})
 		if err != nil {
 			b.Fatal(err)

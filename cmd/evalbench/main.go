@@ -196,7 +196,8 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 	st := telemetry.NewStageTimer()
 	res, err := nassim.Assimilate(ctx, nassim.Options{
 		Vendors: []string{vendor}, Scale: scale, Validate: true,
-		Seed: seed, Timer: st, Report: manifestOut != "",
+		Seed: seed, Report: manifestOut != "",
+		StageHook: func(_ string, stage nassim.PipelineStage) func() { return st.Start(string(stage)) },
 	})
 	if err != nil {
 		return err

@@ -16,13 +16,11 @@
 //
 // Global flags (before the subcommand) switch on the telemetry layer:
 //
-//	nassim --metrics-addr :8080            # serve /metrics, /debug/vars, /debug/traces, /debug/pprof/
+//	nassim --metrics-addr :8080 demo       # serve /metrics, /debug/vars, /debug/traces, /debug/pprof/
 //	nassim --log-level debug demo          # structured pipeline logging
 //	nassim --trace-buffer 1024 demo        # record stage spans
 //
-// With --metrics-addr and no subcommand, nassim runs a small synthetic
-// warm-up pipeline so every stage has samples, prints the bound address,
-// and serves until interrupted.
+// For a long-lived process with those endpoints, run `nassim serve`.
 package main
 
 import (
@@ -40,6 +38,7 @@ import (
 
 	"nassim"
 	"nassim/internal/corpus"
+	"nassim/internal/obsreport"
 )
 
 func main() {
@@ -83,21 +82,8 @@ func main() {
 
 	rest := g.Args()
 	if len(rest) == 0 {
-		if srv == nil {
-			usage()
-			os.Exit(2)
-		}
-		// Serve mode: warm the pipeline so every stage has samples, then
-		// keep the endpoints up until interrupted.
-		if err := warmup("Huawei", 0.02); err != nil {
-			fmt.Fprintln(os.Stderr, "nassim: warm-up:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry: pipeline warmed; metrics at http://%s/metrics (Ctrl-C to stop)\n", srv.Addr())
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		return
+		usage()
+		os.Exit(2)
 	}
 
 	var err error
@@ -152,71 +138,13 @@ subcommands:
 
 global flags (before the subcommand):
   -metrics-addr addr   serve /metrics, /debug/vars, /debug/traces, /debug/pprof/
-                       (with no subcommand: warm the pipeline and serve until Ctrl-C)
+                       while the subcommand runs (nassim serve mounts them too)
   -log-level level     structured logging at debug|info|warn|error
   -log-format fmt      text (default) or json
   -trace-buffer n      record stage spans in a ring buffer of capacity n
 
 run "nassim <subcommand> -h" for subcommand flags.
 `)
-}
-
-// warmup drives one small synthetic assimilation end to end — parser,
-// syntax validation, hierarchy derivation, empirical + live validation,
-// mapper recommendation, controller intent — so the telemetry endpoints
-// have samples from every pipeline stage in serve mode.
-func warmup(vendor string, scale float64) error {
-	ctx := context.Background()
-	// Report:true records the warm-up's run manifest, so /debug/lastrun
-	// serves content as soon as the endpoints come up.
-	res, err := nassim.Assimilate(ctx, nassim.Options{
-		Vendors: []string{vendor}, Scale: scale, Report: true})
-	if err != nil {
-		return err
-	}
-	asr := res.Results[0]
-	dev, err := nassim.NewDevice(asr.Model)
-	if err != nil {
-		return err
-	}
-	if files, ok := nassim.SyntheticConfigs(asr.Model, scale); ok {
-		rep := nassim.ValidateConfigs(ctx, asr.VDM, files)
-		exec := nassim.SessionExecutor(dev.NewSession())
-		if _, err := nassim.TestUnusedCommands(ctx, asr.VDM, rep.UsedCorpora, exec,
-			dev.ShowConfigCommand(), 1, 7); err != nil {
-			return err
-		}
-	}
-	u := nassim.BuildUDM()
-	mp, err := nassim.NewMapper(u, nassim.ModelIRSBERT)
-	if err != nil {
-		return err
-	}
-	anns := nassim.GroundTruthAnnotations(asr.Model, 200, 17)
-	pcs := make([]nassim.ParamContext, 0, min(3, len(anns)))
-	for _, ann := range anns[:min(3, len(anns))] {
-		pcs = append(pcs, nassim.ExtractContext(asr.VDM, ann.Param))
-	}
-	if _, err := mp.MapAll(ctx, pcs, 5); err != nil {
-		return err
-	}
-	binding := nassim.BindingFromAnnotations(anns)
-	ctrl := nassim.NewController(17)
-	if err := nassim.RegisterDevice(ctrl, "warmup-device", vendor, asr.VDM, binding,
-		nassim.SessionExecutor(dev.NewSession()), dev.ShowConfigCommand()); err != nil {
-		return err
-	}
-	ids := make([]string, 0, len(binding))
-	for id := range binding {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, err := ctrl.Apply("warmup-device", nassim.Intent{AttrID: id, Value: "7"}); err == nil {
-			break
-		}
-	}
-	return nil
 }
 
 // parseArtifact is the on-disk output of the parse subcommand: the corpus
@@ -565,7 +493,6 @@ func cmdRun(args []string) error {
 	cacheDir := fs.String("cache-dir", "", "on-disk artifact cache directory (warm-starts later processes)")
 	validate := fs.Bool("validate", true, "run empirical configuration validation (Figure 8)")
 	live := fs.Bool("live", false, "live-test unused commands on an in-process simulated device")
-	chaos := fs.Bool("chaos", false, "serve live-test devices over TCP behind the standard fault-injection profile (implies -live)")
 	var chaosProfile chaosProfileFlag
 	fs.Var(&chaosProfile, "chaos-profile", "serve live-test devices behind this named chaos profile (one of "+
 		strings.Join(nassim.ChaosProfileNames(), ", ")+"; implies -live)")
@@ -599,13 +526,21 @@ func cmdRun(args []string) error {
 		nassim.EnableTracing(4096)
 	}
 	timer := nassim.NewStageTimer()
+	hook := func(_ string, stage nassim.PipelineStage) func() { return timer.Start(string(stage)) }
+	var flight *obsreport.FlightRecorder
+	if *profileStages != "" {
+		flight = obsreport.NewFlightRecorder(*profileStages)
+		// The recorder brackets the timer, so capture overhead stays out
+		// of the stage times.
+		hook = bothHooks(flight.StageHook(), hook)
+	}
 	opts := nassim.Options{
 		Vendors: names, Scale: *scale, Workers: *workers,
 		Cache: nassim.NewPipelineCache(), CacheDir: *cacheDir,
-		Validate: *validate, LiveTest: *live || *chaos || chaosProfile.name != "", Seed: *seed, Timer: timer,
+		Validate: *validate, LiveTest: *live || chaosProfile.name != "", Seed: *seed,
 		// Profiling runs get a manifest too: its Timing.Derived block carries
 		// the pool utilizations, sharing one code path with BENCH_frontend.json.
-		Report: *report != "" || *profileStages != "", ProfileStages: *profileStages,
+		Report: *report != "" || *profileStages != "", StageHook: hook,
 	}
 	if chaosProfile.name != "" {
 		p, err := nassim.ChaosProfileByName(chaosProfile.name, *seed)
@@ -613,12 +548,8 @@ func cmdRun(args []string) error {
 			return err // unreachable: Set validated the name at parse time
 		}
 		opts.Chaos = &p
-	} else if *chaos {
-		p := nassim.StandardChaosProfile(*seed)
-		opts.Chaos = &p
 	}
 	var manifest *nassim.RunReport
-	var profiles []string
 	for round := 1; round <= *repeat; round++ {
 		start := time.Now()
 		res, err := nassim.Assimilate(ctx, opts)
@@ -628,7 +559,6 @@ func cmdRun(args []string) error {
 		if res.Report != nil {
 			manifest = res.Report // keep the last (warmest) round's manifest
 		}
-		profiles = append(profiles, res.Profiles...)
 		fmt.Printf("round %d (%v): %s\n", round, time.Since(start).Round(time.Millisecond), res.Stats)
 		for _, asr := range res.Results {
 			if asr == nil {
@@ -692,10 +622,30 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("wrote Chrome trace to %s (load in chrome://tracing or Perfetto)\n", *traceOut)
 	}
-	if len(profiles) > 0 {
-		fmt.Printf("flight recorder: %d pprof capture(s) in %s\n", len(profiles), *profileStages)
+	if flight != nil {
+		// A failed capture must not fail the run it observed.
+		if err := flight.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, "nassim: flight recorder:", err)
+		}
+		fmt.Printf("flight recorder: %d pprof capture(s) in %s\n", len(flight.Captures()), *profileStages)
 	}
 	return nil
+}
+
+// bothHooks composes two stage hooks: outer fires before inner, and
+// their finish funcs run in reverse order, so outer brackets inner.
+func bothHooks(outer, inner func(string, nassim.PipelineStage) func()) func(string, nassim.PipelineStage) func() {
+	return func(vendor string, stage nassim.PipelineStage) func() {
+		fo, fi := outer(vendor, stage), inner(vendor, stage)
+		return func() {
+			if fi != nil {
+				fi()
+			}
+			if fo != nil {
+				fo()
+			}
+		}
+	}
 }
 
 func cmdReconcile(args []string) error {

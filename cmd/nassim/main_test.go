@@ -161,3 +161,27 @@ func TestIntentSubcommand(t *testing.T) {
 		t.Fatalf("intent: %v", err)
 	}
 }
+
+// TestRunProfileStagesWritesCaptures drives `nassim run -profile-stages`
+// end to end: the flight recorder, attached through the stage hook,
+// leaves a non-empty CPU and heap profile per executed stage.
+func TestRunProfileStagesWritesCaptures(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdRun([]string{"-vendors", "Nokia", "-scale", "0.02", "-profile-stages", dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, kind := range []string{"cpu", "heap"} {
+		caps, err := filepath.Glob(filepath.Join(dir, kind+"-Nokia-*.pprof"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(caps) == 0 {
+			t.Errorf("no %s captures in %s", kind, dir)
+		}
+		for _, p := range caps {
+			if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+				t.Errorf("capture %s is empty or missing: %v", p, err)
+			}
+		}
+	}
+}

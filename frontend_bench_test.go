@@ -6,11 +6,12 @@ package nassim_test
 // NASSIM_FRONTEND_BENCH_OUT set, results are exported as
 // BENCH_frontend.json (schema nassim-frontend-bench/v1) including derived
 // seed-vs-new speedups, comparable across PRs like the other BENCH_*.json
-// documents. The "seed" side pairs the 1-worker parse with the retained
-// naive validator (the pre-optimization code path); on a single-core
-// runner the speedup therefore measures the algorithmic wins (interning,
-// memo tables, compiled-template cache, candidate pruning), and the worker
-// pools add on top of it with the cores to use them.
+// documents. Every parse row runs the one production parser, so
+// parse_speedup_8v1 is same-code scaling from 1 to 8 workers (clamped to
+// GOMAXPROCS). The "seed" side of parse_validate_* pairs the 1-worker
+// parse with the naive validator oracle, so that speedup measures the
+// validator's algorithmic wins (memo tables, compiled-template cache,
+// candidate pruning) plus the worker pools, with the cores to use them.
 
 import (
 	"context"
@@ -112,8 +113,9 @@ func exportFrontendBench(b *testing.B, name string) {
 	}
 }
 
-// BenchmarkParseAll parses all four vendor manuals per op, sequentially
-// and through the 8-worker page pool.
+// BenchmarkParseAll parses all four vendor manuals per op through the
+// production parser at 1 worker (on the calling goroutine) and at 8
+// (clamped to GOMAXPROCS).
 func BenchmarkParseAll(b *testing.B) {
 	data := setup(b)
 	for _, variant := range []struct {

@@ -1,10 +1,9 @@
 package nassim_test
 
-// Golden tests for the parallel/interned front end (the RecommendNaive
-// pattern from the mapper): on every built-in vendor manual, the parallel
-// byte-tokenizer parse path and the memoized/parallel empirical validator
-// must produce artifacts identical to the sequential path — same corpus
-// JSON bytes, same VDM, same empirical report.
+// Golden tests for the parallel/interned front end: on every built-in
+// vendor manual, the parse pool and the memoized empirical validator must
+// produce identical artifacts at every worker count — same corpus JSON
+// bytes, same VDM, same empirical report.
 
 import (
 	"context"
@@ -26,9 +25,11 @@ func corporaJSON(t *testing.T, pr *nassim.ParseResult) []byte {
 	return data
 }
 
-// TestFrontendParseGolden parses each vendor manual sequentially and with
-// an 8-worker pool, requiring byte-identical corpora, identical hierarchy
-// edges, and identical completeness reports.
+// TestFrontendParseGolden parses each vendor manual at 1, 2 and 8
+// workers, requiring byte-identical corpora, identical hierarchy edges,
+// and identical completeness reports. Every count runs the production
+// parser; internal/parser's TestParseWorkersByteIdentical holds these same
+// manuals equal to the reference-DOM oracle.
 func TestFrontendParseGolden(t *testing.T) {
 	ctx := context.Background()
 	for _, vendor := range nassim.Vendors() {
@@ -43,21 +44,23 @@ func TestFrontendParseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := nassim.ParseManualWorkers(ctx, vendor, pages, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if len(seq.Corpora) == 0 {
 				t.Fatal("no corpora parsed")
 			}
-			if string(corporaJSON(t, seq)) != string(corporaJSON(t, par)) {
-				t.Error("parallel parse produced different corpus bytes")
-			}
-			if !reflect.DeepEqual(seq.Hierarchy, par.Hierarchy) {
-				t.Errorf("hierarchy edges differ: %d vs %d", len(seq.Hierarchy), len(par.Hierarchy))
-			}
-			if !reflect.DeepEqual(seq.Completeness, par.Completeness) {
-				t.Error("completeness reports differ")
+			for _, workers := range []int{2, 8} {
+				par, err := nassim.ParseManualWorkers(ctx, vendor, pages, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(corporaJSON(t, seq)) != string(corporaJSON(t, par)) {
+					t.Errorf("workers=%d: parse produced different corpus bytes", workers)
+				}
+				if !reflect.DeepEqual(seq.Hierarchy, par.Hierarchy) {
+					t.Errorf("workers=%d: hierarchy edges differ: %d vs %d", workers, len(seq.Hierarchy), len(par.Hierarchy))
+				}
+				if !reflect.DeepEqual(seq.Completeness, par.Completeness) {
+					t.Errorf("workers=%d: completeness reports differ", workers)
+				}
 			}
 		})
 	}

@@ -32,7 +32,7 @@ func addVendor(t *testing.T, c *controller.Controller, name, vendor string) map[
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cl, err := device.Dial(srv.Addr())
+	cl, err := device.DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"strings"
@@ -176,7 +177,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr())
+			cl, err := DialContext(context.Background(), srv.Addr())
 			if err != nil {
 				errs <- err
 				return
@@ -274,7 +275,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialContext(context.Background(), "127.0.0.1:1"); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }

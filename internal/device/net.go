@@ -163,14 +163,6 @@ type Client struct {
 	ioTimeout time.Duration
 }
 
-// Dial connects to a device server and consumes the greeting.
-//
-// Deprecated: use DialContext, which bounds the connect and greeting
-// exchange; Dial keeps working with the default timeouts.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
 // DialContext connects to a device server and consumes the greeting. The
 // context's deadline and cancellation bound the TCP connect and the
 // greeting read; without a deadline, DefaultDialTimeout applies.

@@ -2,6 +2,7 @@ package device
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -87,7 +88,7 @@ func TestProtocolGreetingAndFraming(t *testing.T) {
 
 func TestProtocolEmptyShowDump(t *testing.T) {
 	srv, d, _ := startServer(t)
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	conn.Close() // drop mid-session
 
 	// The server must keep accepting new sessions.
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	srv, _, _ := startServer(t)
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		t.Error("exec succeeded after server close")
 	}
 	cl.Close()
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := DialContext(context.Background(), srv.Addr()); err == nil {
 		t.Error("dial succeeded after server close")
 	}
 }
@@ -156,7 +157,7 @@ func TestClientRejectsMalformedServer(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	if _, err := Dial(l.Addr().String()); err == nil {
+	if _, err := DialContext(context.Background(), l.Addr().String()); err == nil {
 		t.Error("client accepted a non-device greeting")
 	}
 }
@@ -180,7 +181,7 @@ func TestClientHandlesBadDataHeader(t *testing.T) {
 		}
 		fmt.Fprintln(conn, "DATA notanumber")
 	}()
-	cl, err := Dial(l.Addr().String())
+	cl, err := DialContext(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestClientHandlesUnknownStatus(t *testing.T) {
 		}
 		fmt.Fprintln(conn, "WAT 42")
 	}()
-	cl, err := Dial(l.Addr().String())
+	cl, err := DialContext(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestClientTruncatedDump(t *testing.T) {
 		fmt.Fprintln(conn, "only one line")
 		conn.Close() // truncate mid-dump
 	}()
-	cl, err := Dial(l.Addr().String())
+	cl, err := DialContext(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

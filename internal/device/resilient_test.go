@@ -243,7 +243,7 @@ func TestDialContextTimesOutOnBlackhole(t *testing.T) {
 
 func TestDeprecatedDialStillWorksWithDefaultDeadlines(t *testing.T) {
 	srv, d, _, _ := startFaultServer(t, faultnet.Profile{})
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestProtocolErrorsAreTyped(t *testing.T) {
 	srv, _, m, _ := startFaultServer(t, faultnet.Profile{Seed: 9, GarbleRate: 1})
 	// Raw client (no retry): every response is garbled, so the exchange
 	// must fail with ErrProtocol — the class the retry layer keys on.
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		// The greeting itself was garbled; that is also a protocol error.
 		if !errors.Is(err, ErrProtocol) && !strings.Contains(err.Error(), "greeting") {

@@ -106,8 +106,8 @@ type frame struct {
 // Options tunes ValidateConfigsOpts. The zero value matches the historical
 // sequential behavior.
 type Options struct {
-	// Workers bounds the per-file fan-out; values below 2 keep the
-	// sequential path.
+	// Workers bounds the per-file fan-out; values below 2 validate on
+	// the calling goroutine.
 	Workers int
 }
 
@@ -133,44 +133,11 @@ func ValidateConfigsOpts(ctx context.Context, v *vdm.VDM, files []configgen.File
 
 	m := newMatcher(v)
 	results := make([]*fileReport, len(files))
-	one := func(i int) { results[i] = m.validateFile(files[i]) }
-	workers := opts.Workers
-	if workers > len(files) {
-		workers = len(files)
-	}
-	var tracker *telemetry.PoolTracker
-	if workers < 2 {
-		tracker = telemetry.NewPoolTracker(1)
-		for i := range files {
-			if ctx.Err() != nil {
-				break
-			}
-			tracker.Track(0, func() { one(i) })
+	pool := telemetry.RunPool(opts.Workers, len(files), func(_, i int) {
+		if ctx.Err() == nil {
+			results[i] = m.validateFile(files[i])
 		}
-	} else {
-		tracker = telemetry.NewPoolTracker(workers)
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					tracker.Track(w, func() { one(i) })
-				}
-			}()
-		}
-		for i := range files {
-			if ctx.Err() != nil {
-				break
-			}
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	pool := tracker.Stats()
+	})
 	telemetry.ObserveWorkerBusy("nassim_empirical_worker_busy_seconds", pool, "vendor", v.Vendor)
 
 	rep := &Report{Files: len(files), UsedCorpora: map[int]bool{}, Pool: pool}

@@ -173,7 +173,7 @@ func TestLiveValidationLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := device.Dial(srv.Addr())
+	cl, err := device.DialContext(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

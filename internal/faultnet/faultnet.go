@@ -61,8 +61,9 @@ type Profile struct {
 }
 
 // Standard is the standard chaos profile used by tests, `nassim run
-// -chaos`, and the chaos benchmark: 5% resets, 10% latency spikes of the
-// given duration, and one flap window of two connections.
+// -chaos-profile standard`, and the chaos benchmark: 5% resets, 10%
+// latency spikes of the given duration, and one flap window of two
+// connections.
 func Standard(seed uint64, latency time.Duration) Profile {
 	return Profile{
 		Seed:        seed,

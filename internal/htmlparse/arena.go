@@ -5,22 +5,23 @@ import (
 	"unsafe"
 )
 
-// Arena is a slab-backed DOM builder for high-throughput page streams.
-// Where the one-shot parse paths allocate every Node and Children slice
-// individually — the dominant GC pressure of a manual-batch parse — an
-// Arena lays all nodes of a page out in one reusable slab, links
-// children through one shared pointer slab, and keeps its tokenizer
-// (scratch buffer, attribute slab) across pages, consuming tokens as
-// they are produced instead of buffering them. Parsing N pages through
-// one Arena performs O(1) slab allocations once the slabs have grown to
-// the largest page.
+// Arena is the production DOM builder, built for high-throughput page
+// streams. Where the reference builder (ParseReference) allocates every
+// Node and Children slice individually — the dominant GC pressure of a
+// manual-batch parse — an Arena lays all nodes of a page out in one
+// reusable slab, links children through one shared pointer slab, and
+// keeps its tokenizer (scratch buffer, attribute slab) across pages,
+// consuming tokens as they are produced instead of buffering them.
+// Parsing N pages through one Arena performs O(1) slab allocations once
+// the slabs have grown to the largest page.
 //
-// The returned tree is structurally identical to Parse's (the golden and
-// fuzz equivalence tests hold the two paths equal), but it aliases arena
-// storage: the next Parse/ParseString call on the same Arena invalidates
-// every Node of the previous tree. Callers must extract what they keep —
-// strings are safe, *Node references are not. An Arena is not safe for
-// concurrent use; give each worker its own and share the interning pool.
+// The returned tree is structurally identical to ParseReference's (the
+// golden and fuzz equivalence tests hold the two equal), but it aliases
+// arena storage: the next Parse/ParseString call on the same Arena
+// invalidates every Node of the previous tree. Callers must extract what
+// they keep — strings are safe, *Node references are not. An Arena is not
+// safe for concurrent use; give each worker its own and share the
+// interning pool.
 type Arena struct {
 	cached *CachedIntern
 	tok    *ByteTokenizer

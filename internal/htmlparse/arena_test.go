@@ -32,16 +32,16 @@ var arenaCases = []string{
 	"<em>é中文</em>",
 }
 
-// TestArenaMatchesParse holds the arena builder equal to Parse on every
-// tree-builder rule.
+// TestArenaMatchesParse holds the arena builder equal to the reference
+// builder on every tree-builder rule.
 func TestArenaMatchesParse(t *testing.T) {
 	a := NewArena(NewIntern())
 	for i, src := range arenaCases {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			want := renderTree(Parse(src))
+			want := renderTree(ParseReference(src))
 			got := renderTree(a.ParseString(src))
 			if want != got {
-				t.Fatalf("tree mismatch:\nparse: %s\narena: %s", want, got)
+				t.Fatalf("tree mismatch:\nreference: %s\narena: %s", want, got)
 			}
 		})
 	}
@@ -56,7 +56,7 @@ func TestArenaReuse(t *testing.T) {
 	big := samplePage
 	srcs := []string{big, "<div class='x'>a<b>c</div>", "<ul><li>a<li>b</ul>"}
 	for _, i := range order {
-		want := renderTree(Parse(srcs[i]))
+		want := renderTree(ParseReference(srcs[i]))
 		got := renderTree(a.ParseString(srcs[i]))
 		if want != got {
 			t.Fatalf("page %d after reuse: tree mismatch", i)
@@ -91,19 +91,19 @@ func TestArenaParentLinks(t *testing.T) {
 	}
 }
 
-// FuzzArenaMatchesParse holds the arena equal to Parse on arbitrary
-// input — same trees, no panics — while reusing one arena across all
-// fuzz executions to also exercise slab reuse.
+// FuzzArenaMatchesParse holds the arena equal to the reference builder
+// on arbitrary input — same trees, no panics — while reusing one arena
+// across all fuzz executions to also exercise slab reuse.
 func FuzzArenaMatchesParse(f *testing.F) {
 	for _, seed := range arenaCases {
 		f.Add(seed)
 	}
 	a := NewArena(NewIntern())
 	f.Fuzz(func(t *testing.T, src string) {
-		want := renderTree(Parse(src))
+		want := renderTree(ParseReference(src))
 		got := renderTree(a.ParseString(src))
 		if want != got {
-			t.Fatalf("tree mismatch:\nparse: %s\narena: %s", want, got)
+			t.Fatalf("tree mismatch:\nreference: %s\narena: %s", want, got)
 		}
 	})
 }

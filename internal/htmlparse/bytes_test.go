@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// tokensOf drains a token source into a slice.
-func tokensOf(z tokenSource) []Token {
+// tokensOf drains either tokenizer into a slice.
+func tokensOf(z interface{ Next() (Token, bool) }) []Token {
 	var out []Token
 	for {
 		tok, ok := z.Next()

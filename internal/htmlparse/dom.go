@@ -306,38 +306,32 @@ var impliedEndTags = map[string][]string{
 	"option": {"option"},
 }
 
-// tokenSource abstracts the two tokenizers for the DOM builder.
-type tokenSource interface {
-	Next() (Token, bool)
-}
-
 // Parse builds a DOM tree from an HTML document. It never fails: malformed
 // markup degrades to text or is repaired with implied end tags, matching
 // the tolerance needed for real vendor manuals. Parsing runs through the
-// byte-backed tokenizer and the shared interning pool; ParseReference
-// retains the original string path as the golden reference.
+// production builder, a fresh Arena over the shared interning pool.
 func Parse(src string) *Node {
 	return ParseBytes([]byte(src), nil)
 }
 
-// ParseBytes builds a DOM tree straight from document bytes through the
-// single-pass ByteTokenizer, interning repeated names in pool (nil uses
-// the shared default pool). It is safe to call concurrently; workers of a
-// parallel manual parse share one pool.
+// ParseBytes builds a DOM tree straight from document bytes through a
+// fresh Arena — the builder every manual parse runs — interning repeated
+// names in pool (nil uses the shared default pool). The tree owns its
+// arena, so it stays valid for as long as the caller holds it. It is safe
+// to call concurrently; workers of a parallel manual parse share one pool.
 func ParseBytes(src []byte, pool *Intern) *Node {
-	return buildDOM(NewByteTokenizer(src, pool), pool)
+	return NewArena(pool).Parse(src)
 }
 
-// ParseReference is the pre-interning string-tokenizer parse path, kept
-// as the reference implementation for golden and fuzz equivalence tests.
+// ParseReference builds the DOM through the string Tokenizer with every
+// node individually allocated. It is the reference the golden and fuzz
+// tests hold the production builder (Arena) equal to; nothing else calls
+// it.
 func ParseReference(src string) *Node {
-	return buildDOM(NewTokenizer(src), nil)
+	return buildDOM(NewTokenizer(src))
 }
 
-func buildDOM(z tokenSource, pool *Intern) *Node {
-	if pool == nil {
-		pool = defaultIntern
-	}
+func buildDOM(z *Tokenizer) *Node {
 	doc := &Node{Type: DocumentNode}
 	stack := []*Node{doc}
 	top := func() *Node { return stack[len(stack)-1] }
@@ -359,7 +353,7 @@ func buildDOM(z tokenSource, pool *Intern) *Node {
 			// Ignored: the DOM does not model doctypes.
 		case SelfClosingToken:
 			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			el.cacheClasses(pool)
+			el.cacheClasses(defaultIntern)
 			top().Children = append(top().Children, el)
 		case StartTagToken:
 			if closes, ok := impliedEndTags[tok.Data]; ok {
@@ -379,7 +373,7 @@ func buildDOM(z tokenSource, pool *Intern) *Node {
 				}
 			}
 			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			el.cacheClasses(pool)
+			el.cacheClasses(defaultIntern)
 			top().Children = append(top().Children, el)
 			stack = append(stack, el)
 		case EndTagToken:

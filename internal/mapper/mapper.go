@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"nassim/internal/nlp"
@@ -384,8 +383,9 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 }
 
 // MapAll recommends the top-k UDM attributes for every parameter context,
-// fanning the batch across a bounded worker pool. Output is order-stable:
-// result i always belongs to ctxs[i], independent of the worker count.
+// fanning the batch across a bounded worker pool (GOMAXPROCS workers
+// unless WithMapWorkers set a count). Output is order-stable: result i
+// always belongs to ctxs[i], independent of the worker count.
 // Cancellation stops the batch between parameters and returns the
 // context's error.
 func (m *Mapper) MapAll(ctx context.Context, ctxs []ParamContext, k int) ([][]Recommendation, error) {
@@ -394,44 +394,16 @@ func (m *Mapper) MapAll(ctx context.Context, ctxs []ParamContext, k int) ([][]Re
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(ctxs) {
-		workers = len(ctxs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	defer func() {
-		m.telBatch.Observe(float64(len(ctxs)))
-		telemetry.GetHistogram("nassim_mapper_mapall_seconds", nil,
-			"model", m.Name(), "workers", strconv.Itoa(workers)).
-			ObserveDuration(time.Since(start))
-	}()
 	results := make([][]Recommendation, len(ctxs))
-	if len(ctxs) == 0 {
-		return results, ctx.Err()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain; the producer stops on cancellation
-				}
-				results[i] = m.Recommend(ctxs[i], k)
-			}
-		}()
-	}
-	for i := range ctxs {
-		if ctx.Err() != nil {
-			break
+	pool := telemetry.RunPool(workers, len(ctxs), func(_, i int) {
+		if ctx.Err() == nil {
+			results[i] = m.Recommend(ctxs[i], k)
 		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
+	m.telBatch.Observe(float64(len(ctxs)))
+	telemetry.GetHistogram("nassim_mapper_mapall_seconds", nil,
+		"model", m.Name(), "workers", strconv.Itoa(pool.Workers)).
+		ObserveDuration(time.Since(start))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -15,8 +15,8 @@ import (
 // FlightRecorder brackets actual stage executions with pprof captures: a
 // CPU profile spanning the stage and a heap snapshot at stage exit, one
 // pair of files per (vendor, stage) under Dir. Attach it to a pipeline via
-// Config.StageHook; cache hits never fire the hook, so warm stages cost
-// nothing.
+// Config.StageHook (or nassim.Options.StageHook); cache hits never fire
+// the hook, so warm stages cost nothing.
 //
 // Go allows one CPU profile per process, so captures are serialized by a
 // recorder-wide mutex: with stage-level profiling on, overlapping stages
@@ -26,10 +26,6 @@ import (
 type FlightRecorder struct {
 	// Dir receives the capture files (created on first use).
 	Dir string
-	// CPU and Heap select what to capture; zero-value recorder captures
-	// nothing.
-	CPU  bool
-	Heap bool
 
 	mu       sync.Mutex
 	captures []string
@@ -38,7 +34,7 @@ type FlightRecorder struct {
 
 // NewFlightRecorder captures CPU and heap profiles per stage into dir.
 func NewFlightRecorder(dir string) *FlightRecorder {
-	return &FlightRecorder{Dir: dir, CPU: true, Heap: true}
+	return &FlightRecorder{Dir: dir}
 }
 
 // StageHook adapts the recorder to pipeline.Config.StageHook.
@@ -52,9 +48,6 @@ func (fr *FlightRecorder) StageHook() func(vendor string, stage pipeline.Stage) 
 // closer. Errors are collected, not returned: a failed profile must not
 // fail the pipeline run it observes.
 func (fr *FlightRecorder) begin(vendor, stage string) func() {
-	if !fr.CPU && !fr.Heap {
-		return nil
-	}
 	fr.mu.Lock() // held across the stage: CPU profiling is process-global
 	if err := os.MkdirAll(fr.Dir, 0o755); err != nil {
 		fr.errs = append(fr.errs, err)
@@ -63,17 +56,15 @@ func (fr *FlightRecorder) begin(vendor, stage string) func() {
 	}
 	base := sanitize(vendor) + "-" + sanitize(stage)
 	var cpuFile *os.File
-	if fr.CPU {
-		f, err := os.Create(filepath.Join(fr.Dir, "cpu-"+base+".pprof"))
-		if err != nil {
-			fr.errs = append(fr.errs, err)
-		} else if err := pprof.StartCPUProfile(f); err != nil {
-			fr.errs = append(fr.errs, fmt.Errorf("cpu profile %s/%s: %w", vendor, stage, err))
-			f.Close()
-		} else {
-			cpuFile = f
-			fr.captures = append(fr.captures, f.Name())
-		}
+	f, err := os.Create(filepath.Join(fr.Dir, "cpu-"+base+".pprof"))
+	if err != nil {
+		fr.errs = append(fr.errs, err)
+	} else if err := pprof.StartCPUProfile(f); err != nil {
+		fr.errs = append(fr.errs, fmt.Errorf("cpu profile %s/%s: %w", vendor, stage, err))
+		f.Close()
+	} else {
+		cpuFile = f
+		fr.captures = append(fr.captures, f.Name())
 	}
 	return func() {
 		defer fr.mu.Unlock()
@@ -81,21 +72,19 @@ func (fr *FlightRecorder) begin(vendor, stage string) func() {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
-		if fr.Heap {
-			path := filepath.Join(fr.Dir, "heap-"+base+".pprof")
-			f, err := os.Create(path)
-			if err != nil {
-				fr.errs = append(fr.errs, err)
-				return
-			}
-			runtime.GC() // snapshot live objects, not garbage
-			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-				fr.errs = append(fr.errs, fmt.Errorf("heap profile %s/%s: %w", vendor, stage, err))
-			} else {
-				fr.captures = append(fr.captures, path)
-			}
-			f.Close()
+		path := filepath.Join(fr.Dir, "heap-"+base+".pprof")
+		f, err := os.Create(path)
+		if err != nil {
+			fr.errs = append(fr.errs, err)
+			return
 		}
+		runtime.GC() // snapshot live objects, not garbage
+		if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+			fr.errs = append(fr.errs, fmt.Errorf("heap profile %s/%s: %w", vendor, stage, err))
+		} else {
+			fr.captures = append(fr.captures, path)
+		}
+		f.Close()
 	}
 }
 

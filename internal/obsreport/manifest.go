@@ -40,7 +40,6 @@ const ManifestSchema = "nassim-run-manifest/v1"
 type RunInfo struct {
 	Vendors           []string `json:"vendors"`
 	Workers           int      `json:"workers"`
-	StageWorkers      int      `json:"stage_workers"`
 	Scale             float64  `json:"scale"`
 	Seed              uint64   `json:"seed"`
 	Validate          bool     `json:"validate"`
@@ -554,8 +553,8 @@ func (c *Collector) Build(info RunInfo, results []*pipeline.JobResult) *Manifest
 func runID(m *Manifest) string {
 	h := sha256.New()
 	fmt.Fprintln(h, m.Schema)
-	fmt.Fprintf(h, "%v|%d|%d|%g|%d|%t|%t|%t|%d\n",
-		m.Info.Vendors, m.Info.Workers, m.Info.StageWorkers, m.Info.Scale,
+	fmt.Fprintf(h, "%v|%d|%g|%d|%t|%t|%t|%d\n",
+		m.Info.Vendors, m.Info.Workers, m.Info.Scale,
 		m.Info.Seed, m.Info.Validate, m.Info.LiveTest, m.Info.Chaos,
 		m.Info.LiveFailureBudget)
 	for _, j := range m.Jobs {

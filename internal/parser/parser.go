@@ -60,15 +60,11 @@ type Parser struct {
 	workers   int
 }
 
-// SetWorkers selects the page fan-out of Parse. Exactly 1 forces the
-// sequential reference path — htmlparse.ParseReference, the original
-// string-tokenizer parser with an individually allocated DOM per page,
-// kept as the golden baseline the fast path is measured and verified
-// against. Any other value (including the zero default) takes the
-// arena-pooled path: the requested worker count (or GOMAXPROCS when
-// unset) is clamped to GOMAXPROCS and the page count, and each worker
-// streams its pages through its own slab-backed DOM arena. Parse output
-// is byte-identical across paths and worker counts.
+// SetWorkers selects the page fan-out of Parse: the requested worker
+// count (or GOMAXPROCS when unset or below 1) clamped to GOMAXPROCS and
+// the page count. One worker parses on the calling goroutine; every
+// worker count runs the same arena-pooled path, and Parse output is
+// byte-identical across worker counts.
 func (p *Parser) SetWorkers(n int) { p.workers = n }
 
 // New returns the built-in parser for a vendor ("Huawei", "Cisco", "Nokia",
@@ -191,89 +187,43 @@ type pageResult struct {
 	done   bool
 }
 
-// parsePages runs the vendor parsing() over every page. SetWorkers(1)
-// keeps the sequential reference path; otherwise pages fan out over a
-// bounded worker pool (the same order-stable, ctx-cancellable idiom as
-// mapper.MapAll) clamped to GOMAXPROCS — page decoding is pure CPU, so
-// slots beyond the scheduler's parallelism only add queueing. Each
-// worker streams its pages through its own slab-backed DOM arena over
-// the shared interning pool, so per-page tokenizer, node, and children
-// allocations are amortized across the worker's whole stream. Results
-// land at their page index regardless of completion order. The returned
-// PoolStats carries each effective worker's busy time so callers (and
-// the run manifest) can compute honest fan-out utilization.
+// parsePages runs the vendor parsing() over every page through
+// telemetry.RunPool, with the worker count clamped to GOMAXPROCS — page
+// decoding is pure CPU, so slots beyond the scheduler's parallelism only
+// add queueing. Each worker streams its pages through its own
+// slab-backed DOM arena over the shared interning pool, so per-page
+// tokenizer, node, and children allocations are amortized across the
+// worker's whole stream. Results land at their page index regardless of
+// completion order; pages skipped by cancellation stay absent. The
+// returned PoolStats carries each effective worker's busy time so callers
+// (and the run manifest) can compute honest fan-out utilization.
 func (p *Parser) parsePages(ctx context.Context, pages []Page) ([]pageResult, telemetry.PoolStats) {
-	results := make([]pageResult, len(pages))
-	finish := func(doc *htmlparse.Node, i int) {
-		c, edges := p.parsePage(doc)
-		c.Vendor = p.vendor
-		c.SourceURL = pages[i].URL
-		results[i] = pageResult{corpus: c, edges: edges, done: true}
-	}
-	if p.workers == 1 {
-		// Reference path: the string-tokenizer parser, every node and
-		// children slice individually allocated.
-		tracker := telemetry.NewPoolTracker(1)
-		for i := range pages {
-			if ctx.Err() != nil {
-				break
-			}
-			tracker.Track(0, func() {
-				pageSpan := pageSpanIfTracing(ctx, pages[i].URL)
-				finish(htmlparse.ParseReference(pages[i].HTML), i)
-				pageSpan.End()
-			})
-		}
-		return results, tracker.Stats()
-	}
 	workers := p.workers
 	if maxPar := runtime.GOMAXPROCS(0); workers < 1 || workers > maxPar {
 		workers = maxPar
 	}
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	oneArena := func(a *htmlparse.Arena, i int) {
-		pageSpan := pageSpanIfTracing(ctx, pages[i].URL)
-		finish(a.ParseString(pages[i].HTML), i)
-		pageSpan.End()
-	}
-	if workers < 2 {
-		tracker := telemetry.NewPoolTracker(1)
-		arena := getArena()
-		for i := range pages {
-			if ctx.Err() != nil {
-				break
-			}
-			tracker.Track(0, func() { oneArena(arena, i) })
-		}
-		putArena(arena)
-		return results, tracker.Stats()
-	}
-	tracker := telemetry.NewPoolTracker(workers)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			arena := getArena()
-			defer putArena(arena)
-			for i := range idx {
-				tracker.Track(w, func() { oneArena(arena, i) })
-			}
-		}()
-	}
-	for i := range pages {
+	results := make([]pageResult, len(pages))
+	arenas := make([]*htmlparse.Arena, workers)
+	pool := telemetry.RunPool(workers, len(pages), func(w, i int) {
 		if ctx.Err() != nil {
-			break
+			return
 		}
-		idx <- i
+		if arenas[w] == nil {
+			arenas[w] = getArena()
+		}
+		pageSpan := pageSpanIfTracing(ctx, pages[i].URL)
+		c, edges := p.parsePage(arenas[w].ParseString(pages[i].HTML))
+		c.Vendor = p.vendor
+		c.SourceURL = pages[i].URL
+		results[i] = pageResult{corpus: c, edges: edges, done: true}
+		pageSpan.End()
+	})
+	for _, a := range arenas {
+		if a != nil {
+			putArena(a)
+		}
 	}
-	close(idx)
-	wg.Wait()
-	return results, tracker.Stats()
+	return results, pool
 }
 
 // Validate is the base-class validating() method: it runs the Appendix B

@@ -297,31 +297,49 @@ func TestVendorConstraintInValidate(t *testing.T) {
 	}
 }
 
-// TestParseWorkersByteIdentical holds the arena-pooled fan-out equal to
-// the sequential reference path: identical corpora and hierarchy at
-// every worker setting, which is what keeps StageWorkers out of the
-// pipeline's artifact cache keys.
+// referenceParse is the test-side oracle for Parse: the vendor
+// parsing() over htmlparse.ParseReference's individually allocated DOM,
+// one page at a time, with explicit edges deduplicated in page order.
+func referenceParse(p *Parser, pages []Page) *Result {
+	res := &Result{}
+	seen := map[ViewEdge]bool{}
+	for _, pg := range pages {
+		c, edges := p.parsePage(htmlparse.ParseReference(pg.HTML))
+		c.Vendor = p.vendor
+		c.SourceURL = pg.URL
+		res.Corpora = append(res.Corpora, c)
+		for _, e := range edges {
+			if !seen[e] {
+				seen[e] = true
+				res.Hierarchy = append(res.Hierarchy, e)
+			}
+		}
+	}
+	return res
+}
+
+// TestParseWorkersByteIdentical holds Parse equal to the reference DOM
+// oracle — identical corpora and hierarchy at every worker count, which
+// is what keeps worker counts out of the pipeline's artifact cache keys.
+// The manuals are the scale-0.05 ones the root front-end goldens parse.
 func TestParseWorkersByteIdentical(t *testing.T) {
 	for _, v := range devmodel.AllVendors {
 		v := v
 		t.Run(string(v), func(t *testing.T) {
-			m := devmodel.Generate(devmodel.PaperConfig(v).Scaled(0.02))
+			m := devmodel.Generate(devmodel.PaperConfig(v).Scaled(0.05))
 			man := manualgen.Render(m)
 			pages := make([]Page, len(man.Pages))
 			for i, pg := range man.Pages {
 				pages[i] = Page{URL: pg.URL, HTML: pg.HTML}
 			}
-			parseWith := func(workers int) *Result {
-				p, err := New(string(v))
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.SetWorkers(workers)
-				return p.Parse(context.Background(), pages)
+			p, err := New(string(v))
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref := parseWith(1) // sequential reference path
-			for _, workers := range []int{0, 2, 8} {
-				got := parseWith(workers)
+			ref := referenceParse(p, pages)
+			for _, workers := range []int{0, 1, 2, 8} {
+				p.SetWorkers(workers)
+				got := p.Parse(context.Background(), pages)
 				if !reflect.DeepEqual(ref.Corpora, got.Corpora) {
 					t.Errorf("workers=%d: corpora diverge from reference", workers)
 				}

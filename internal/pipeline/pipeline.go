@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"nassim/internal/configgen"
@@ -292,24 +291,12 @@ func (s RunStats) String() string {
 type Config struct {
 	// Workers bounds per-vendor parallelism (<=1 runs sequentially).
 	Workers int
-	// StageWorkers bounds the intra-stage fan-out of the front-end stages:
-	// manual pages parsed concurrently within one vendor's Parse stage and
-	// configuration files matched concurrently within EmpiricalValidate.
-	// For Parse, exactly 1 forces the sequential reference path; 0 (the
-	// default) or >=2 takes the arena-pooled path clamped to GOMAXPROCS.
-	// For EmpiricalValidate, values below 2 keep the stage sequential.
-	// Stage outputs are identical at any worker count, so StageWorkers
-	// stays out of the artifact cache keys.
-	StageWorkers int
 	// Store is the artifact cache; nil gets a fresh MemStore. Share one
 	// store across runs to make warm re-runs skip unchanged stages.
 	Store Store
 	// CacheDir, when set, mirrors the expensive artifacts (parse output,
 	// derived VDM) on disk so later processes can warm-start.
 	CacheDir string
-	// Timer, when set, accumulates per-stage wall time of executed stages
-	// (cache hits are not observed — skipped work is skipped).
-	Timer *telemetry.StageTimer
 	// StageRetries re-executes listed stages after a failed attempt.
 	// Cancellation is never retried, and a degraded artifact is a success
 	// (the stage absorbed its failures); retries fire only on hard stage
@@ -319,26 +306,24 @@ type Config struct {
 	// StageHook, when set, observes actual stage executions (cache hits
 	// never fire it). It is called immediately before each execution
 	// attempt; the returned func — which may be nil — runs when the attempt
-	// finishes. The obsreport flight recorder uses this to bracket stages
-	// with pprof CPU/heap captures.
+	// finishes. It is the one way to observe a stage from outside: stage
+	// timers, the obsreport flight recorder's pprof captures, and the
+	// serving daemon's progress stream all attach here.
 	StageHook func(vendor string, stage Stage) func()
 }
 
 // Engine runs assimilation jobs through the staged pipeline.
 type Engine struct {
-	store        Store
-	disk         *DiskStore
-	workers      int
-	stageWorkers int
-	timer        *telemetry.StageTimer
-	retries      map[Stage]StageRetry
-	hook         func(vendor string, stage Stage) func()
+	store   Store
+	disk    *DiskStore
+	workers int
+	retries map[Stage]StageRetry
+	hook    func(vendor string, stage Stage) func()
 }
 
 // New builds an engine from a config.
 func New(cfg Config) (*Engine, error) {
-	e := &Engine{store: cfg.Store, workers: cfg.Workers, stageWorkers: cfg.StageWorkers,
-		timer: cfg.Timer, hook: cfg.StageHook}
+	e := &Engine{store: cfg.Store, workers: cfg.Workers, hook: cfg.StageHook}
 	if len(cfg.StageRetries) > 0 {
 		e.retries = make(map[Stage]StageRetry, len(cfg.StageRetries))
 		for k, v := range cfg.StageRetries {
@@ -367,35 +352,16 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]*JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	workers := e.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]*JobResult, len(jobs))
 	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("pipeline: %s: %w", jobs[i].Vendor, err)
-					continue
-				}
-				results[i], errs[i] = e.runJob(ctx, &jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	// RunPool raises fewer than 1 worker to 1 (sequential on this goroutine).
+	telemetry.RunPool(e.workers, len(jobs), func(_, i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = fmt.Errorf("pipeline: %s: %w", jobs[i].Vendor, err)
+			return
+		}
+		results[i], errs[i] = e.runJob(ctx, &jobs[i])
+	})
 	for i := range jobs {
 		outcome := "ok"
 		if errs[i] != nil {
@@ -446,13 +412,14 @@ type persistedDerive struct {
 
 // runStage executes one stage unless its artifact is already cached. The
 // wrapper checks the context at the stage boundary, consults the memory
-// store then the disk mirror, and on a live run wraps fn in a telemetry
-// span, observes the stage timer/histogram, and records the artifact.
-// Failed attempts are re-executed per the engine's per-stage retry
-// policy (cancellation is never retried). An artifact produced under a
-// cancelled context is discarded, and a Degradable artifact reporting
-// degradation is returned but never cached — the next run with the same
-// key re-executes the stage against a hopefully-recovered device.
+// store then the disk mirror, and on a live run brackets fn with the
+// stage hook and a telemetry span, observes the stage histogram, and
+// records the artifact. Failed attempts are re-executed per the engine's
+// per-stage retry policy (cancellation is never retried). An artifact
+// produced under a cancelled context is discarded, and a Degradable
+// artifact reporting degradation is returned but never cached — the next
+// run with the same key re-executes the stage against a
+// hopefully-recovered device.
 func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	key string, disk Codec[T], fn func(context.Context) (T, error)) (T, error) {
 	var zero T
@@ -558,9 +525,6 @@ func (e *Engine) noteRun(jr *JobResult, stage Stage, elapsed time.Duration, atte
 	}
 	jr.StageElapsed[stage] = elapsed
 	jr.StageAttempts[stage] = attempts
-	if e.timer != nil {
-		e.timer.Observe(string(stage), elapsed)
-	}
 	telemetry.GetCounter("nassim_pipeline_stage_total", "stage", string(stage), "outcome", "run").Inc()
 	telemetry.GetHistogram("nassim_pipeline_stage_seconds", nil, "stage", string(stage)).ObserveDuration(elapsed)
 }
@@ -619,7 +583,6 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.SetWorkers(e.stageWorkers)
 			res, rep := p.ParseAndValidate(ctx, job.Pages)
 			jr.notePool(StageParse, res.Pool)
 			edges := make([]hierarchy.Edge, len(res.Hierarchy))
@@ -684,8 +647,7 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		jr.noteKey(StageEmpiricalValidate, empKey)
 		rep, err := runStage(ctx, e, jr, StageEmpiricalValidate, empKey, nil,
 			func(ctx context.Context) (*empirical.Report, error) {
-				r := empirical.ValidateConfigsOpts(ctx, da.VDM, job.ConfigFiles,
-					empirical.Options{Workers: e.stageWorkers})
+				r := empirical.ValidateConfigs(ctx, da.VDM, job.ConfigFiles)
 				jr.notePool(StageEmpiricalValidate, r.Pool)
 				return r, nil
 			})

@@ -39,38 +39,53 @@ func (ps PoolStats) Utilization() float64 {
 	return float64(ps.Busy().Nanoseconds()) / (float64(ps.Workers) * float64(ps.WallNS))
 }
 
-// PoolTracker accumulates per-worker busy time for one pooled section. It
-// is handed one slot per worker, so Track calls from different workers
-// never contend.
-type PoolTracker struct {
-	start time.Time
-	busy  []int64
-}
-
-// NewPoolTracker starts tracking a pooled section with the given worker
-// count (minimum 1).
-func NewPoolTracker(workers int) *PoolTracker {
+// RunPool runs fn(w, i) once for every index i in [0, n) and returns
+// each worker's busy time. It is the one bounded worker-pool loop behind
+// every stage fan-out (manual pages, config files, mapper parameters,
+// vendor jobs). workers is clamped to [1, n]: with one worker fn runs on
+// the calling goroutine, otherwise workers goroutines drain a shared
+// index channel. w identifies the worker in [0, workers) and no two calls
+// with the same w overlap, so callers may keep per-worker state (e.g. a
+// DOM arena) indexed by w. RunPool returns after every call has returned;
+// fn reports results by writing to index i and handles cancellation by
+// returning early.
+func RunPool(workers, n int, fn func(w, i int)) PoolStats {
+	if workers > n {
+		workers = n
+	}
 	if workers < 1 {
 		workers = 1
 	}
-	return &PoolTracker{start: time.Now(), busy: make([]int64, workers)}
-}
-
-// Track runs fn attributed to worker w's busy time.
-func (pt *PoolTracker) Track(w int, fn func()) {
 	start := time.Now()
-	fn()
-	pt.busy[w] += time.Since(start).Nanoseconds()
-}
-
-// Stats finalizes the section and returns its PoolStats. Call after every
-// worker has exited.
-func (pt *PoolTracker) Stats() PoolStats {
-	return PoolStats{
-		Workers: len(pt.busy),
-		BusyNS:  append([]int64(nil), pt.busy...),
-		WallNS:  time.Since(pt.start).Nanoseconds(),
+	busy := make([]int64, workers)
+	run := func(w, i int) {
+		t0 := time.Now()
+		fn(w, i)
+		busy[w] += time.Since(t0).Nanoseconds()
 	}
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			run(0, i)
+		}
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					run(w, i)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
+	}
+	return PoolStats{Workers: workers, BusyNS: busy, WallNS: time.Since(start).Nanoseconds()}
 }
 
 // UtilizationKey names one pool's derived utilization figure the way

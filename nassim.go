@@ -135,9 +135,10 @@ func ParseManual(ctx context.Context, vendor string, pages []Page) (*ParseResult
 	return ParseManualWorkers(ctx, vendor, pages, 0)
 }
 
-// ParseManualWorkers is ParseManual with a bounded per-page worker pool
-// (values below 2 parse sequentially). The result is identical at any
-// worker count.
+// ParseManualWorkers is ParseManual with a bounded per-page worker pool:
+// workers below 1 take GOMAXPROCS, every count is clamped to GOMAXPROCS,
+// and one worker parses on the calling goroutine. Every count runs the
+// same parser, and the result is identical at any worker count.
 func ParseManualWorkers(ctx context.Context, vendor string, pages []Page, workers int) (*ParseResult, error) {
 	p, err := parser.New(vendor)
 	if err != nil {
@@ -196,8 +197,9 @@ func ValidateConfigs(ctx context.Context, v *VDM, files []ConfigFile) *Empirical
 }
 
 // ValidateConfigsWorkers is ValidateConfigs with a bounded per-file worker
-// pool (values below 2 validate sequentially). The report is identical at
-// any worker count.
+// pool: values below 2 validate on the calling goroutine (ValidateConfigs'
+// default). Every count runs the same validator, and the report is
+// identical at any worker count.
 func ValidateConfigsWorkers(ctx context.Context, v *VDM, files []ConfigFile, workers int) *EmpiricalReport {
 	return empirical.ValidateConfigsOpts(ctx, v, files, empirical.Options{Workers: workers})
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"nassim"
@@ -97,27 +95,5 @@ func TestRunReportAcceptance(t *testing.T) {
 	}
 	if len(warm1.Report.Timing.Stages) != 0 {
 		t.Errorf("warm timing has %d stage entries", len(warm1.Report.Timing.Stages))
-	}
-}
-
-// TestFlightRecorderPublicAPI exercises Options.ProfileStages end to end.
-func TestFlightRecorderPublicAPI(t *testing.T) {
-	dir := t.TempDir()
-	res, err := nassim.Assimilate(context.Background(), nassim.Options{
-		Vendors: []string{"Nokia"}, Scale: 0.02, ProfileStages: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Profiles) == 0 {
-		t.Fatal("no profiles captured")
-	}
-	for _, p := range res.Profiles {
-		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
-			t.Errorf("capture %s: err=%v", p, err)
-		}
-		if !strings.HasPrefix(p, dir) {
-			t.Errorf("capture %s escaped %s", p, dir)
-		}
 	}
 }

@@ -51,9 +51,9 @@ const (
 var ErrBreakerOpen = device.ErrBreakerOpen
 
 // StandardChaosProfile is the standard chaos profile used by the chaos
-// suite, `nassim run -chaos`, and the chaos benchmark: 5% connection
-// resets, 10% latency spikes of 200ms, and one flap window of two
-// connections.
+// suite, `nassim run -chaos-profile standard`, and the chaos benchmark:
+// 5% connection resets, 10% latency spikes of 200ms, and one flap window
+// of two connections.
 func StandardChaosProfile(seed uint64) ChaosProfile {
 	return faultnet.Standard(seed, 200*time.Millisecond)
 }

@@ -1,6 +1,7 @@
 package nassim
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -147,7 +148,9 @@ func NewDevice(m *DeviceModel) (*Device, error) { return device.New(m) }
 func ServeDevice(d *Device, addr string) (*DeviceServer, error) { return device.Serve(d, addr) }
 
 // DialDevice opens a CLI session against a served device.
-func DialDevice(addr string) (*DeviceClient, error) { return device.Dial(addr) }
+func DialDevice(addr string) (*DeviceClient, error) {
+	return device.DialContext(context.Background(), addr)
+}
 
 // AssimilationResult bundles the artifacts of one vendor's pipeline run.
 // Artifacts may come from the engine's cache and are shared by reference:
