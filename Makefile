@@ -52,15 +52,18 @@ bench-frontend:
 	NASSIM_FRONTEND_BENCH_OUT=BENCH_frontend.json $(GO) test -run xxx \
 		-bench 'BenchmarkParseAll|BenchmarkCompileTemplates|BenchmarkValidateConfigs|BenchmarkDecodeArtifact' -benchtime 5x .
 
-# Artifact-codec fuzzing under the race detector: coverage-guided
+# Fuzzing under the race detector. Artifact codecs: coverage-guided
 # mutations of real encoded artifacts must decode cleanly or be rejected
 # with an error — never panic — at the stage-codec layer
-# (FuzzArtifactCodecs) and the container layer (FuzzOpen). The seed
-# corpora also run in every plain `go test`.
+# (FuzzArtifactCodecs) and the container layer (FuzzOpen). CGM index
+# (FuzzIndexMatch): the two-keyword index must answer any instance line
+# exactly as a scan over every template does. The seed corpora also
+# run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz FuzzArtifactCodecs -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -race -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -race -run '^$$' -fuzz FuzzIndexMatch -fuzztime $(FUZZTIME) ./internal/cgm
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

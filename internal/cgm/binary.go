@@ -11,7 +11,8 @@ import (
 // artifact store. Persisting the compiled FSM — nodes, successor lists,
 // token bounds — lets a warm pipeline start skip both template parsing
 // and FSM construction; reloading an index is a linear scan over the
-// stored graphs plus the cheap leading-keyword bucket rebuild.
+// stored graphs plus the cheap rebuild of their index keys and the
+// key-to-graphs map, neither of which is stored.
 
 // AppendGraphBinary writes one compiled graph.
 func AppendGraphBinary(e *artifact.Enc, g *Graph) {
@@ -77,6 +78,7 @@ func DecodeGraphBinary(d *artifact.Dec) (*Graph, error) {
 	if g.root < 0 || g.root >= n || g.terminal < 0 || g.terminal >= n {
 		return nil, fmt.Errorf("cgm: binary decode: root/terminal out of range")
 	}
+	g.keys = g.indexKeys()
 	return g, nil
 }
 
@@ -90,9 +92,9 @@ func AppendIndexBinary(e *artifact.Enc, ix *Index) {
 	}
 }
 
-// DecodeIndexBinary reads an index written by AppendIndexBinary,
-// rebuilding the leading-keyword buckets from the decoded graphs (the
-// buckets are a pure function of the graph set). No template is parsed
+// DecodeIndexBinary reads an index written by AppendIndexBinary, filing
+// the decoded graphs through the same register call Add uses (the index
+// keys are a pure function of each graph). No template is parsed
 // and no FSM is constructed — this is the warm-start path that makes
 // reloading a validated VDM cheap enough to do on every check.
 func DecodeIndexBinary(d *artifact.Dec) (*Index, error) {
@@ -110,14 +112,7 @@ func DecodeIndexBinary(d *artifact.Dec) (*Index, error) {
 		if _, dup := ix.graphs[id]; dup {
 			return nil, fmt.Errorf("cgm: binary index decode: duplicate id %q", id)
 		}
-		ix.graphs[id] = g
-		ix.order = append(ix.order, id)
-		minT, maxT := g.TokenBounds()
-		for _, s := range g.succ[g.root] {
-			if nd := g.nodes[s]; nd.kind == KindKeyword {
-				ix.byFirst[nd.text] = append(ix.byFirst[nd.text], indexEntry{id: id, g: g, minToks: minT, maxToks: maxT})
-			}
-		}
+		ix.register(id, g)
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("cgm: binary index decode: %w", err)

@@ -45,10 +45,15 @@ type Graph struct {
 	terminal int
 
 	// minToks/maxToks bound the token count of any accepting run, computed
-	// once at build time. The index uses them as a second pruning level
-	// after the leading keyword: an instance whose token count falls
-	// outside the bounds cannot match, so the FSM never runs.
+	// once at build time. The index uses them as a pruning level after
+	// its keyword keys: an instance whose token count falls outside the
+	// bounds cannot match, so the FSM never runs.
 	minToks, maxToks int
+
+	// keys are the index keys of the graph (see indexKeys), derived once
+	// per compiled graph: the compiled-template cache shares a graph
+	// across indices, and each index files it without re-deriving them.
+	keys []string
 }
 
 // TokenBounds returns the minimum and maximum number of tokens any
@@ -212,6 +217,7 @@ func Build(n *clisyntax.Node, typeOf TypeResolver) *Graph {
 		b.addEdge(g.root, g.terminal)
 	}
 	g.computeTokenBounds()
+	g.keys = g.indexKeys()
 	return g
 }
 

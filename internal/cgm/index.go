@@ -9,12 +9,15 @@ import (
 // Index resolves CLI instances to the command templates they instantiate,
 // across a whole device model. Hierarchy derivation and empirical
 // validation both need this lookup for every configuration line, so the
-// index buckets graphs by their leading keyword (templates always start
-// with a literal keyword) to avoid trying all 10k+ templates per line.
+// index files each graph under its first keyword, or under its first two
+// keywords where the automaton fixes the second, and runs, per line, only
+// the automata that can get past the second token. A vendor with
+// thousands of `description tag-N <text>` templates then runs one
+// automaton per `description` line, not thousands.
 type Index struct {
-	byFirst map[string][]indexEntry
-	graphs  map[string]*Graph
-	order   []string // insertion order of template IDs, for determinism
+	byKey  map[string][]indexEntry // Graph.keys -> graphs; written only by register
+	graphs map[string]*Graph
+	order  []string // insertion order of template IDs, for determinism
 }
 
 type indexEntry struct {
@@ -27,7 +30,7 @@ type indexEntry struct {
 
 // NewIndex returns an empty template index.
 func NewIndex() *Index {
-	return &Index{byFirst: map[string][]indexEntry{}, graphs: map[string]*Graph{}}
+	return &Index{byKey: map[string][]indexEntry{}, graphs: map[string]*Graph{}}
 }
 
 // Add parses the template, builds its CGM and registers it under the given
@@ -43,20 +46,103 @@ func (ix *Index) Add(id, template string, typeOf TypeResolver) error {
 		return err
 	}
 	telTemplatesAdded.Inc()
-	ix.graphs[id] = g
-	ix.order = append(ix.order, id)
-	minT, maxT := g.TokenBounds()
-	for _, s := range g.succ[g.root] {
-		n := g.nodes[s]
-		if n.kind == KindKeyword {
-			ix.byFirst[n.text] = append(ix.byFirst[n.text], indexEntry{id: id, g: g, minToks: minT, maxToks: maxT})
-		}
-	}
+	ix.register(id, g)
 	return nil
 }
 
+// register records a graph under a new ID and files it under each of its
+// index keys. Index.Add and DecodeIndexBinary both file through it. The
+// keys come with the compiled graph, so registering allocates nothing per
+// template beyond the list appends.
+func (ix *Index) register(id string, g *Graph) {
+	ix.graphs[id] = g
+	ix.order = append(ix.order, id)
+	e := indexEntry{id: id, g: g, minToks: g.minToks, maxToks: g.maxToks}
+	for _, k := range g.keys {
+		ix.byKey[k] = append(ix.byKey[k], e)
+	}
+}
+
+// indexKeys returns the keys the index files the graph under, each once.
+// For a leading keyword k the key is "k t", for each keyword t that can
+// follow k, when every root successor is a keyword and every state that
+// can follow a k state is a keyword too; otherwise it is "k" alone. The
+// pair keys are exact under both matchers. The first token of an instance
+// `k u ...` leaves only the k states, with keyword priority (MatchTokens)
+// and without it (Specificity) alike. Their successors are all keywords,
+// so u must equal one of their texts t, and none of them is the terminal,
+// so a one-token instance never accepts either. A lookup that visits "k"
+// and "k u" therefore runs every automaton that can accept the instance.
+// Keywords hold no whitespace, so "k" never equals a pair key.
+func (g *Graph) indexKeys() []string {
+	roots := g.succ[g.root]
+	keyedRoots := g.keywordsOnly(roots)
+	var keys []string
+	for _, s := range roots {
+		first := g.nodes[s]
+		if first.kind != KindKeyword {
+			continue // a parameter or the terminal keys nothing
+		}
+		if !keyedRoots || !g.keywordsFollow(first.text) {
+			keys = appendNew(keys, first.text)
+			continue
+		}
+		for _, t := range g.succ[s] {
+			keys = appendNew(keys, first.text+" "+g.nodes[t].text)
+		}
+	}
+	return keys
+}
+
+// appendNew appends k unless keys already holds it: a graph has a handful
+// of keys, so a scan beats a set.
+func appendNew(keys []string, k string) []string {
+	for _, x := range keys {
+		if x == k {
+			return keys
+		}
+	}
+	return append(keys, k)
+}
+
+// keywordsOnly reports whether every listed state is a keyword state.
+func (g *Graph) keywordsOnly(states []int) bool {
+	for _, s := range states {
+		if g.nodes[s].kind != KindKeyword {
+			return false
+		}
+	}
+	return true
+}
+
+// keywordsFollow reports whether every state that can follow a leading
+// keyword state with text k is a keyword state.
+func (g *Graph) keywordsFollow(k string) bool {
+	for _, s := range g.succ[g.root] {
+		if n := g.nodes[s]; n.kind == KindKeyword && n.text == k && !g.keywordsOnly(g.succ[s]) {
+			return false
+		}
+	}
+	return true
+}
+
+// candidates returns the two lists that together hold every template the
+// tokens can match: the graphs keyed by the first token alone and, for two
+// tokens or more, those keyed by the first two (see indexKeys).
+func (ix *Index) candidates(toks []string) (first, firstTwo []indexEntry) {
+	if len(toks) == 0 {
+		return nil, nil
+	}
+	if len(toks) > 1 {
+		var buf [64]byte // the pair key, built without allocating
+		key := append(append(append(buf[:0], toks[0]...), ' '), toks[1]...)
+		firstTwo = ix.byKey[string(key)]
+	}
+	return ix.byKey[toks[0]], firstTwo
+}
+
 // Match returns the IDs of all templates the instance matches. Candidates
-// sharing the instance's leading keyword are pruned by their token-count
+// found by the instance's first two tokens are pruned by their token-count
 // bounds before the FSM runs. Results come back in natural ID order
 // (numeric when both IDs are decimal, lexicographic otherwise), which is
 // independent of registration order — two indices built from differently
@@ -65,18 +151,18 @@ func (ix *Index) Add(id, template string, typeOf TypeResolver) error {
 func (ix *Index) Match(instance string) []string {
 	telMatchAttempts.Inc()
 	toks := strings.Fields(instance)
-	if len(toks) == 0 {
-		return nil
-	}
 	n := len(toks)
+	first, firstTwo := ix.candidates(toks)
 	var out []string
-	for _, e := range ix.byFirst[toks[0]] {
-		if n < e.minToks || n > e.maxToks {
-			telMatchPruned.Inc()
-			continue
-		}
-		if e.g.MatchTokens(toks) {
-			out = append(out, e.id)
+	for _, list := range [2][]indexEntry{first, firstTwo} {
+		for _, e := range list {
+			if n < e.minToks || n > e.maxToks {
+				telMatchPruned.Inc()
+				continue
+			}
+			if e.g.MatchTokens(toks) {
+				out = append(out, e.id)
+			}
 		}
 	}
 	sortNaturalIDs(out)
@@ -87,30 +173,31 @@ func (ix *Index) Match(instance string) []string {
 // templates the instance matches, those explaining the most tokens as
 // exact keywords. This is the disambiguation hierarchy derivation uses
 // when a string parameter of one template shadows a keyword of another.
+// It runs the same candidates as Match.
 func (ix *Index) MatchBest(instance string) []string {
 	telMatchAttempts.Inc()
 	toks := strings.Fields(instance)
-	if len(toks) == 0 {
-		return nil
-	}
 	n := len(toks)
+	first, firstTwo := ix.candidates(toks)
 	best := -1
 	var out []string
-	for _, e := range ix.byFirst[toks[0]] {
-		if n < e.minToks || n > e.maxToks {
-			telMatchPruned.Inc()
-			continue
-		}
-		score := e.g.Specificity(toks)
-		if score < 0 {
-			continue
-		}
-		switch {
-		case score > best:
-			best = score
-			out = append(out[:0], e.id)
-		case score == best:
-			out = append(out, e.id)
+	for _, list := range [2][]indexEntry{first, firstTwo} {
+		for _, e := range list {
+			if n < e.minToks || n > e.maxToks {
+				telMatchPruned.Inc()
+				continue
+			}
+			score := e.g.Specificity(toks)
+			if score < 0 {
+				continue
+			}
+			switch {
+			case score > best:
+				best = score
+				out = append(out[:0], e.id)
+			case score == best:
+				out = append(out, e.id)
+			}
 		}
 	}
 	sortNaturalIDs(out)
