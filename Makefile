@@ -57,13 +57,16 @@ bench-frontend:
 # with an error — never panic — at the stage-codec layer
 # (FuzzArtifactCodecs) and the container layer (FuzzOpen). CGM index
 # (FuzzIndexMatch): the two-keyword index must answer any instance line
-# exactly as a scan over every template does. The seed corpora also
-# run in every plain `go test`.
+# exactly as a scan over every template does. Tokenizer (FuzzTokenize):
+# the byte scan must split any input, invalid UTF-8 included, exactly as
+# the rune loop it replaced. The seed corpora also run in every plain
+# `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz FuzzArtifactCodecs -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -race -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/artifact
 	$(GO) test -race -run '^$$' -fuzz FuzzIndexMatch -fuzztime $(FUZZTIME) ./internal/cgm
+	$(GO) test -race -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/nlp
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

@@ -334,7 +334,7 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 		m.telRecs.Inc()
 		m.telLatency.ObserveDuration(time.Since(start))
 	}()
-	candidates := make([]int, 0, m.tree.Len())
+	var candidates []int
 	switch {
 	case m.ir != nil && m.enc == nil:
 		// Pure IR.
@@ -346,12 +346,15 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 		return out
 	case m.ir != nil:
 		// Composite: IR shortlist, DL re-rank.
-		for _, s := range m.ir.Rank(nlp.Tokenize(strings.Join(ctx.Sequences, " ")), m.shortlist) {
-			candidates = append(candidates, s.Doc)
+		ranked := m.ir.Rank(nlp.Tokenize(strings.Join(ctx.Sequences, " ")), m.shortlist)
+		candidates = make([]int, len(ranked))
+		for i, s := range ranked {
+			candidates[i] = s.Doc
 		}
 	default:
-		for i := 0; i < m.tree.Len(); i++ {
-			candidates = append(candidates, i)
+		candidates = make([]int, m.tree.Len())
+		for i := range candidates {
+			candidates[i] = i
 		}
 	}
 	m.telShort.Observe(float64(len(candidates)))

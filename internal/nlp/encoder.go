@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 )
 
 // Vec is a dense embedding vector.
@@ -61,11 +62,13 @@ func tokenVector(tok string, dim int) Vec {
 type denseEncoder struct {
 	name string
 	dim  int
-	// anisotropy adds a common component to every token embedding,
-	// emulating the anisotropic embedding space of contrastive-only
-	// pretraining: all cosines inflate toward a shared direction, washing
-	// out small real differences (why SimCSE can rank below even TF-IDF).
+	// anisotropy adds a common component along axis to every token
+	// embedding, emulating the anisotropic embedding space of
+	// contrastive-only pretraining: all cosines inflate toward a shared
+	// direction, washing out small real differences (why SimCSE can rank
+	// below even TF-IDF).
 	anisotropy float64
+	axis       Vec
 	// canon maps synonym variants to canonical tokens — the model's
 	// "pretraining knowledge" of general English.
 	canon map[string]string
@@ -81,6 +84,12 @@ type denseEncoder struct {
 	// so one encoder can serve concurrent Recommend/MapAll callers; a nil
 	// cache (zero-value encoder) just disables memoization.
 	cache *vecCache
+	// tokens memoizes tokenVector by canonical token. A canonical token's
+	// vector depends only on the token and dim, so fine-tuning (which
+	// changes which canonical token a raw token maps to) never invalidates
+	// it, and the memo is bounded by the vocabulary the encoder has seen.
+	// It is per encoder, like cache, so a fresh encoder starts cold.
+	tokens *vecCache
 }
 
 func (e *denseEncoder) Name() string { return e.name }
@@ -96,6 +105,20 @@ func (e *denseEncoder) canonicalize(tok string) string {
 	return tok
 }
 
+// tokenVec returns tokenVector(tok, e.dim) through the token memo. tok may
+// be a substring of a longer text, so the memo keeps a copy of the key.
+func (e *denseEncoder) tokenVec(tok string) Vec {
+	if e.tokens == nil {
+		return tokenVector(tok, e.dim)
+	}
+	if v, ok := e.tokens.get(tok); ok {
+		return v
+	}
+	v := tokenVector(tok, e.dim)
+	e.tokens.put(strings.Clone(tok), v)
+	return v
+}
+
 func (e *denseEncoder) Encode(text string) Vec {
 	if e.cache != nil {
 		if v, ok := e.cache.get(text); ok {
@@ -103,17 +126,14 @@ func (e *denseEncoder) Encode(text string) Vec {
 		}
 	}
 	out := make(Vec, e.dim)
-	var common Vec
-	if e.anisotropy > 0 {
-		common = tokenVector("\x00anisotropy-axis", e.dim)
-	}
+	common := e.axis // nil unless the encoder is anisotropic
 	for _, tok := range Tokenize(text) {
 		tok = e.canonicalize(tok)
 		w := 1.0
 		if e.weighted && IsStopword(tok) {
 			w = 0.1
 		}
-		tv := tokenVector(tok, e.dim)
+		tv := e.tokenVec(tok)
 		for i := range out {
 			out[i] += w * tv[i]
 			if common != nil {
@@ -147,7 +167,8 @@ func NewSimCSE(dim int, generalSyn [][2]string) Encoder {
 			canon[pair[1]] = pair[0]
 		}
 	}
-	return &denseEncoder{name: "SimCSE", dim: dim, canon: canon, anisotropy: 0.55, cache: newVecCache()}
+	return &denseEncoder{name: "SimCSE", dim: dim, canon: canon, anisotropy: 0.55,
+		axis: tokenVector("\x00anisotropy-axis", dim), cache: newVecCache(), tokens: newVecCache()}
 }
 
 // NewSBERT builds the SBERT-tier encoder: the full general-synonym
@@ -158,7 +179,8 @@ func NewSBERT(dim int, generalSyn [][2]string) Encoder {
 	for _, pair := range generalSyn {
 		canon[pair[1]] = pair[0]
 	}
-	return &denseEncoder{name: "SBERT", dim: dim, canon: canon, weighted: true, cache: newVecCache()}
+	return &denseEncoder{name: "SBERT", dim: dim, canon: canon, weighted: true,
+		cache: newVecCache(), tokens: newVecCache()}
 }
 
 // NetBERT is the domain-adapted encoder of §6.3: SBERT plus a learned
@@ -176,7 +198,7 @@ func NewNetBERT(dim int, generalSyn [][2]string) *NetBERT {
 	}
 	return &NetBERT{denseEncoder{
 		name: "NetBERT", dim: dim, canon: canon, weighted: true,
-		domain: map[string]string{}, cache: newVecCache(),
+		domain: map[string]string{}, cache: newVecCache(), tokens: newVecCache(),
 	}}
 }
 
@@ -362,7 +384,8 @@ func (n *NetBERT) FineTune(positives []TrainExample, negRatio, epochs int, seed 
 			n.domain[s] = bestD
 		}
 	}
-	// Learning new alignments invalidates cached sentence embeddings.
+	// Learning new alignments invalidates cached sentence embeddings, but
+	// not the token memo: it is keyed on canonical tokens.
 	if n.cache != nil {
 		n.cache.reset()
 	}

@@ -3,6 +3,7 @@ package nlp
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,54 @@ func TestTokenize(t *testing.T) {
 			t.Errorf("Tokenize(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// tokenizeRunes is the rune-loop tokenizer Tokenize's byte scan
+// replaced: ASCII letters and digits extend a token, upper case folded,
+// and every other rune (including utf8.RuneError for invalid bytes)
+// ends it.
+func tokenizeRunes(s string) []string {
+	var out []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
+			cur.WriteRune(r)
+		case r >= 'A' && r <= 'Z':
+			cur.WriteRune(r + ('a' - 'A'))
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzTokenize holds the byte scan to the rune loop on any input,
+// invalid UTF-8 included.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"peer <ipv4-address> as-number <as-number>",
+		"Specifies the AS-number of the BGP Peer.",
+		"vlan4094 MTU9000 x1y2Z3",
+		"café résumé é",
+		"中文 mixed中text",
+		"bad\xffbyte \xffLEAD trail\xff",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), tokenizeRunes(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+	})
 }
 
 func TestTFIDFRanking(t *testing.T) {

@@ -3,40 +3,11 @@ package nlp
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // SparseVec is a sparse term-weight vector.
 type SparseVec map[string]float64
-
-// Norm returns the Euclidean norm.
-func (v SparseVec) Norm() float64 {
-	s := 0.0
-	for _, w := range v {
-		s += w * w
-	}
-	return math.Sqrt(s)
-}
-
-// CosineSparse computes the cosine similarity of two sparse vectors.
-func CosineSparse(a, b SparseVec) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	dot := 0.0
-	for t, w := range a {
-		if w2, ok := b[t]; ok {
-			dot += w * w2
-		}
-	}
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (na * nb)
-}
 
 // posting is one inverted-index entry: a document and its tf-idf weight
 // for the term. Posting lists are stored in ascending document order.
@@ -138,6 +109,20 @@ type Scored struct {
 	Score float64
 }
 
+// rankScratch is one query's working memory in Rank: a score accumulator
+// and a visited flag per document, the documents touched, and the query's
+// terms and weights. Rank zeroes every touched entry before returning it
+// to rankPool, so one scratch serves indexes of any size.
+type rankScratch struct {
+	acc     []float64
+	visited []bool
+	touched []int32
+	terms   []string
+	weights []float64
+}
+
+var rankPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
 // Rank scores the query against the indexed documents and returns the top
 // k (k <= 0 ranks everything). Ties break toward the lower document index
 // so ranking is deterministic. Only documents sharing a term with the
@@ -148,98 +133,71 @@ func (t *TFIDF) Rank(query []string, k int) []Scored {
 	if k <= 0 || k > t.n {
 		k = t.n
 	}
-	qv := t.Vector(query)
-	qn := normSorted(qv)
-	scored := t.scoreInverted(qv, qn)
-	h := topKHeap{k: k}
-	for _, s := range scored {
-		h.push(s)
+	sc := rankPool.Get().(*rankScratch)
+	if len(sc.acc) < t.n {
+		sc.acc = make([]float64, t.n)
+		sc.visited = make([]bool, t.n)
+	}
+	// The query's tf-idf vector as Vector computes it, but as (term,
+	// weight) pairs in sorted term order: runs of equal tokens in a sorted
+	// copy of the query are the term frequencies.
+	q := append(sc.terms[:0], query...)
+	sort.Strings(q)
+	terms, weights := q[:0], sc.weights[:0]
+	for i := 0; i < len(q); {
+		j := i + 1
+		for j < len(q) && q[j] == q[i] {
+			j++
+		}
+		if tok := q[i]; !IsStopword(tok) {
+			terms = append(terms, tok)
+			weights = append(weights, (1+math.Log(float64(j-i)))*t.idf(tok))
+		}
+		i = j
+	}
+	// Squares and partial dot products accumulate in sorted term order
+	// (the order normSorted uses for document norms), so every score is
+	// the same in every process.
+	s := 0.0
+	for _, w := range weights {
+		s += w * w
+	}
+	qn := math.Sqrt(s)
+	touched := sc.touched[:0]
+	if qn != 0 {
+		for i, tok := range terms {
+			w := weights[i]
+			if w == 0 {
+				continue
+			}
+			for _, p := range t.postings[tok] {
+				if !sc.visited[p.doc] {
+					sc.visited[p.doc] = true
+					touched = append(touched, p.doc)
+				}
+				sc.acc[p.doc] += w * p.weight
+			}
+		}
+	}
+	h := topKHeap{k: k, items: make([]Scored, 0, k)}
+	for _, d := range touched {
+		h.push(Scored{Doc: int(d), Score: sc.acc[d] / (qn * t.docNorm[d])})
 	}
 	out := h.sorted()
 	// Untouched documents all score exactly 0, below every accumulated
 	// score (posting weights are strictly positive): fill any remaining
 	// slots in ascending index order, the dense tie-break.
-	if len(out) < k {
-		touched := make(map[int]bool, len(scored))
-		for _, s := range scored {
-			touched[s.Doc] = true
-		}
-		for d := 0; d < t.n && len(out) < k; d++ {
-			if !touched[d] {
-				out = append(out, Scored{Doc: d})
-			}
+	for d := 0; d < t.n && len(out) < k; d++ {
+		if !sc.visited[d] {
+			out = append(out, Scored{Doc: d})
 		}
 	}
-	return out
-}
-
-// scoreInverted accumulates cosine scores for every document that shares
-// at least one (non-zero-weight) term with the query. Query terms are
-// walked in sorted order so each document's partial sums accumulate in a
-// deterministic order — the same order rankNaive uses, making the two
-// paths bit-identical.
-func (t *TFIDF) scoreInverted(qv SparseVec, qn float64) []Scored {
-	if qn == 0 {
-		return nil
-	}
-	terms := make([]string, 0, len(qv))
-	for tok, w := range qv {
-		if w != 0 {
-			terms = append(terms, tok)
-		}
-	}
-	sort.Strings(terms)
-	acc := make([]float64, t.n)
-	visited := make([]bool, t.n)
-	var touched []int32
-	for _, tok := range terms {
-		w := qv[tok]
-		for _, p := range t.postings[tok] {
-			if !visited[p.doc] {
-				visited[p.doc] = true
-				touched = append(touched, p.doc)
-			}
-			acc[p.doc] += w * p.weight
-		}
-	}
-	out := make([]Scored, 0, len(touched))
 	for _, d := range touched {
-		out = append(out, Scored{Doc: int(d), Score: acc[d] / (qn * t.docNorm[d])})
+		sc.acc[d], sc.visited[d] = 0, false
 	}
-	return out
-}
-
-// rankNaive is the pre-inverted-index reference scorer: every document
-// scored, full stable sort. Retained as the executable specification the
-// fast path is differentially tested against.
-func (t *TFIDF) rankNaive(query []string, k int) []Scored {
-	qv := t.Vector(query)
-	qn := normSorted(qv)
-	terms := make([]string, 0, len(qv))
-	for tok, w := range qv {
-		if w != 0 {
-			terms = append(terms, tok)
-		}
-	}
-	sort.Strings(terms)
-	out := make([]Scored, t.n)
-	for i := range out {
-		dot := 0.0
-		for _, tok := range terms {
-			if w2, ok := t.docs[i][tok]; ok {
-				dot += qv[tok] * w2
-			}
-		}
-		score := 0.0
-		if dot != 0 && qn != 0 && t.docNorm[i] != 0 {
-			score = dot / (qn * t.docNorm[i])
-		}
-		out[i] = Scored{Doc: i, Score: score}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
+	clear(q)
+	sc.terms, sc.weights, sc.touched = q[:0], weights[:0], touched[:0]
+	rankPool.Put(sc)
 	return out
 }
 

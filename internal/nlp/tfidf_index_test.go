@@ -4,8 +4,75 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
+	"sync"
 	"testing"
 )
+
+// Norm returns the Euclidean norm.
+func (v SparseVec) Norm() float64 {
+	s := 0.0
+	for _, w := range v {
+		s += w * w
+	}
+	return math.Sqrt(s)
+}
+
+// CosineSparse computes the cosine similarity of two sparse vectors: the
+// mathematical definition Rank's scores are held to within tolerance.
+func CosineSparse(a, b SparseVec) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	dot := 0.0
+	for t, w := range a {
+		if w2, ok := b[t]; ok {
+			dot += w * w2
+		}
+	}
+	na, nb := a.Norm(), b.Norm()
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (na * nb)
+}
+
+// rankNaive is the pre-inverted-index reference scorer: every document
+// scored, full stable sort. It is the executable specification Rank is
+// differentially tested against.
+func (t *TFIDF) rankNaive(query []string, k int) []Scored {
+	qv := t.Vector(query)
+	qn := normSorted(qv)
+	terms := make([]string, 0, len(qv))
+	for tok, w := range qv {
+		if w != 0 {
+			terms = append(terms, tok)
+		}
+	}
+	sort.Strings(terms)
+	out := make([]Scored, t.n)
+	for i := range out {
+		dot := 0.0
+		for _, tok := range terms {
+			if w2, ok := t.docs[i][tok]; ok {
+				dot += qv[tok] * w2
+			}
+		}
+		score := 0.0
+		if dot != 0 && qn != 0 && t.docNorm[i] != 0 {
+			score = dot / (qn * t.docNorm[i])
+		}
+		out[i] = Scored{Doc: i, Score: score}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
+	if k > 0 && k < len(out) {
+		out = out[:k]
+	}
+	return out
+}
 
 // randomCorpus builds a deterministic synthetic corpus with heavy term
 // overlap (many exact score ties) plus some empty and stopword-only
@@ -32,16 +99,38 @@ func randomCorpus(nDocs int, seed uint64) [][]string {
 	return docs
 }
 
+// rankingDiff describes the first place two rankings disagree on a
+// document or a score bit, or returns "" when they agree everywhere.
+func rankingDiff(got, want []Scored) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("len %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			return fmt.Sprintf("pos %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
 // TestRankMatchesNaive is the IR golden test: the inverted-index
 // accumulator scorer must produce bit-identical scores and rankings to
 // the full-scan reference on every query, for truncated and full ranks.
+// Two indexes of different sizes are queried alternately through the
+// shared scratch pool, then from 8 goroutines at once.
 func TestRankMatchesNaive(t *testing.T) {
-	docs := randomCorpus(120, 5)
-	idx := NewTFIDF(docs)
+	indexes := []*TFIDF{NewTFIDF(randomCorpus(120, 5)), NewTFIDF(randomCorpus(333, 6))}
+	type rankCase struct {
+		idx  *TFIDF
+		q    []string
+		k    int
+		want []Scored
+	}
 	r := rand.New(rand.NewPCG(8, 0x51))
 	queries := [][]string{
 		{"term00"},
 		{"term01", "term02", "term03"},
+		{"term04", "term04", "term09", "term04"},
 		{"missing"},
 		{},
 		{"the", "of"}, // stopwords only -> zero query vector
@@ -53,20 +142,34 @@ func TestRankMatchesNaive(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
+	var cases []rankCase
 	for _, q := range queries {
-		for _, k := range []int{1, 3, 10, 0, len(docs), len(docs) + 7} {
-			got := idx.Rank(q, k)
-			want := idx.rankNaive(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("q=%v k=%d: len %d != %d", q, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
-					t.Fatalf("q=%v k=%d pos %d: fast=%+v naive=%+v", q, k, i, got[i], want[i])
-				}
+		for _, k := range []int{1, 3, 10, 50, 0, 120, 127} {
+			for _, idx := range indexes {
+				cases = append(cases, rankCase{idx, q, k, idx.rankNaive(q, k)})
 			}
 		}
 	}
+	for _, c := range cases {
+		if d := rankingDiff(c.idx.Rank(c.q, c.k), c.want); d != "" {
+			t.Fatalf("n=%d q=%v k=%d: %s", c.idx.Len(), c.q, c.k, d)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range cases {
+				c := cases[(i+g*31)%len(cases)]
+				if d := rankingDiff(c.idx.Rank(c.q, c.k), c.want); d != "" {
+					t.Errorf("goroutine %d, n=%d q=%v k=%d: %s", g, c.idx.Len(), c.q, c.k, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRankMatchesCosineSparse pins the scorer to the mathematical

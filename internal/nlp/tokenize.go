@@ -27,27 +27,47 @@ import (
 // Tokenize lowercases and splits text into alphanumeric tokens. Hyphenated
 // CLI identifiers split into their parts ("as-number" -> "as", "number"),
 // matching how subword tokenizers expose CLI morphology to the encoder.
+//
+// Only ASCII letters and digits are token bytes; every other byte splits a
+// token, including each byte of a multi-byte rune and invalid UTF-8. Tokens
+// are substrings of s, lowercased (and so copied) only when they contain an
+// upper-case letter.
 func Tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if isTokenByte(s[i]) && (i == 0 || !isTokenByte(s[i-1])) {
+			n++
 		}
 	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			cur.WriteRune(r)
-		case r >= 'A' && r <= 'Z':
-			cur.WriteRune(r + ('a' - 'A'))
-		default:
-			flush()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	start, upper := -1, false
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && isTokenByte(s[i]) {
+			if start < 0 {
+				start = i
+			}
+			if 'A' <= s[i] && s[i] <= 'Z' {
+				upper = true
+			}
+			continue
+		}
+		if start >= 0 {
+			tok := s[start:i]
+			if upper {
+				tok = strings.ToLower(tok)
+			}
+			out = append(out, tok)
+			start, upper = -1, false
 		}
 	}
-	flush()
 	return out
+}
+
+func isTokenByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || 'A' <= c && c <= 'Z'
 }
 
 // stopwords are high-frequency function words excluded from IR scoring and

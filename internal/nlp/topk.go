@@ -64,17 +64,17 @@ func (h *topKHeap) down(i int) {
 	}
 }
 
-// sorted drains the heap into descending rank order (best first). The
-// heap is consumed.
+// sorted heap-sorts the items in place into descending rank order (best
+// first) and returns them. The heap is consumed.
 func (h *topKHeap) sorted() []Scored {
-	out := make([]Scored, len(h.items))
-	for n := len(h.items) - 1; n >= 0; n-- {
-		out[n] = h.items[0]
-		h.items[0] = h.items[n]
-		h.items = h.items[:n]
+	items := h.items
+	for n := len(items) - 1; n > 0; n-- {
+		items[0], items[n] = items[n], items[0]
+		h.items = items[:n]
 		h.down(0)
 	}
-	return out
+	h.items = nil
+	return items
 }
 
 // TopKScored selects the k highest-scoring items (ties toward the lower
@@ -85,7 +85,7 @@ func TopKScored(items []Scored, k int) []Scored {
 	if k <= 0 || k > len(items) {
 		k = len(items)
 	}
-	h := topKHeap{k: k}
+	h := topKHeap{k: k, items: make([]Scored, 0, k)}
 	for _, s := range items {
 		h.push(s)
 	}
