@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"nassim/internal/serve"
+	"nassim/internal/telemetry"
 )
 
 // BenchSchema identifies the serving benchmark document.
@@ -250,7 +251,7 @@ func connect(addr string) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: serve.Handler(s)}
+	hs := &http.Server{Handler: serve.Handler(s), ReadHeaderTimeout: telemetry.ReadHeaderTimeout}
 	go hs.Serve(l)
 	shutdown := func() {
 		hs.Close()

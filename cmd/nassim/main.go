@@ -294,7 +294,6 @@ func cmdMap(args []string) error {
 	limit := fs.Int("limit", 5, "how many parameters to map (0 = all)")
 	param := fs.String("param", "", `map one specific parameter ("<corpusIndex>#<name>")`)
 	vdmPath := fs.String("vdm", "", "load a saved validated VDM instead of re-deriving from -corpus")
-	matrixCache := fs.String("matrix-cache", "", "precombined-matrix artifact path (schema "+nassim.MapperMatrixSchema+"): read when present, written after a cold build")
 	fs.Parse(args)
 	var vdmModel *nassim.VDM
 	if *vdmPath != "" {
@@ -318,25 +317,9 @@ func cmdMap(args []string) error {
 		vdmModel, _ = nassim.BuildVDM(context.Background(), v, art.Corpora, art.Hierarchy)
 	}
 	u := nassim.BuildUDM()
-	var mopts []nassim.MapperOption
-	if *matrixCache != "" {
-		if data, err := os.ReadFile(*matrixCache); err == nil {
-			mopts = append(mopts, nassim.WithMatrixArtifact(data))
-		}
-	}
-	mp, err := nassim.NewMapper(u, nassim.ModelKind(*model), mopts...)
+	mp, err := nassim.NewMapper(u, nassim.ModelKind(*model))
 	if err != nil {
 		return err
-	}
-	if *matrixCache != "" {
-		if mp.MatrixLoaded() {
-			fmt.Fprintf(os.Stderr, "mapper matrix: warm start from %s\n", *matrixCache)
-		} else if data, err := mp.ExportMatrix(); err == nil {
-			if err := os.WriteFile(*matrixCache, data, 0o644); err != nil {
-				return fmt.Errorf("map: write matrix cache: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "mapper matrix: cached %d bytes to %s\n", len(data), *matrixCache)
-		}
 	}
 	params := vdmModel.Parameters()
 	if *param != "" {

@@ -68,7 +68,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: listen %s: %w", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: telemetry.ReadHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(l) }()
 	fmt.Printf("nassimd: serving /v1/assimilate on http://%s (workers %d, queue %d; Ctrl-C to drain)\n",

@@ -2,12 +2,10 @@ package nassim_test
 
 import (
 	"context"
-	"os"
 	"strings"
 	"testing"
 
 	"nassim"
-	"nassim/internal/eval"
 )
 
 // TestControllerPublicAPI drives the root-level controller surface with an
@@ -47,52 +45,5 @@ func TestControllerPublicAPI(t *testing.T) {
 	}
 	if !dev.HasConfigLine(res.CLI) {
 		t.Error("pushed CLI not in device config")
-	}
-}
-
-// TestTable4PaperScale is the opt-in full-scale regression pin: set
-// NASSIM_PAPER_SCALE=1 to run (~2 minutes). It asserts every discrete
-// Table 4 count the paper reports.
-func TestTable4PaperScale(t *testing.T) {
-	if os.Getenv("NASSIM_PAPER_SCALE") == "" {
-		t.Skip("set NASSIM_PAPER_SCALE=1 to run the ~2min full-scale regression")
-	}
-	rows, err := eval.Table4(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][6]int{ // commands, views, pairs, invalid, examples, ambiguous
-		"Huawei": {12874, 607, 36274, 13, 15466, 47},
-		"Cisco":  {278, 27, 366, 19, 523, 8},
-		"Nokia":  {14046, 3832, 22734, 139, 0, 0},
-		"H3C":    {759, 28, 851, 13, 1147, 4},
-	}
-	for _, r := range rows {
-		w := want[r.Vendor]
-		got := [6]int{r.Commands, r.Views, r.CLIViewPairs, r.InvalidCLIs, r.ExampleSnippets, r.AmbiguousViews}
-		if got != w {
-			t.Errorf("%s: %v, want %v", r.Vendor, got, w)
-		}
-		if r.Vendor == "Huawei" || r.Vendor == "Nokia" {
-			if r.MatchingRatio != 1.0 {
-				t.Errorf("%s matching ratio = %f", r.Vendor, r.MatchingRatio)
-			}
-		}
-	}
-}
-
-// TestMapperPaperScale is the opt-in full-scale mapper regression: the
-// Table 5 result shape must hold at paper scale. Set NASSIM_PAPER_SCALE=1.
-func TestMapperPaperScale(t *testing.T) {
-	if os.Getenv("NASSIM_PAPER_SCALE") == "" {
-		t.Skip("set NASSIM_PAPER_SCALE=1 to run the full-scale mapper regression")
-	}
-	tasks, err := eval.MapperEval(eval.MapperOptions{Scale: 1.0, Ks: eval.Table5Ks, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := eval.SanityChecks(tasks); len(v) != 0 {
-		t.Errorf("shape violations at paper scale:\n%s\n%s",
-			strings.Join(v, "\n"), eval.FormatMapper(tasks, true))
 	}
 }

@@ -3,11 +3,10 @@
 // format is built for the warm path: a single read of the file yields a
 // buffer whose sections decode into ready structures with near-zero
 // copying — strings are aliased straight into the deduplicated string
-// pool, raw byte sections (e.g. quantized matrices) are aliased
-// wholesale, and only fixed-width scalars are re-read. Every document is
-// self-validating: the header carries a schema tag and a content hash,
-// so truncated, corrupted, or stale-layout files fail Open and the cache
-// treats them as misses instead of decoding garbage.
+// pool, and only scalars are re-read. Every document is self-validating:
+// the header carries a schema tag and a content hash, so truncated,
+// corrupted, or stale-layout files fail Open and the cache treats them as
+// misses instead of decoding garbage.
 //
 // On-disk layout (all integers little-endian; varints are unsigned
 // LEB128, signed values zigzag-encoded):
@@ -21,8 +20,8 @@
 //	         payload bytes (the concatenated sections; the string pool
 //	         is a reserved section named "\x00pool")
 //
-// Section payloads are streams of varints, (offset,len) string-pool
-// references, and raw byte runs, written by Enc and read back by Dec.
+// Section payloads are streams of varints, booleans and (offset,len)
+// string-pool references, written by Enc and read back by Dec.
 package artifact
 
 import (
@@ -30,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -252,24 +250,12 @@ func (e *Enc) Bool(b bool) {
 	}
 }
 
-// Float appends a float64 as its IEEE-754 bits.
-func (e *Enc) Float(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
-
 // String appends a string-pool reference (offset,len), interning the
 // bytes in the shared pool. Equal strings across the whole document cost
 // one pool entry and decode to aliases of the same bytes.
 func (e *Enc) String(s string) {
 	e.Uvarint(e.w.intern(s))
 	e.Uvarint(uint64(len(s)))
-}
-
-// Bytes appends a length-prefixed raw byte run inline (not pooled); the
-// decoder returns it as a zero-copy alias.
-func (e *Enc) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // Len marks a slice/map length n, distinguishing nil (the JSON reference
@@ -285,7 +271,7 @@ func (e *Enc) Len(n int, isNil bool) {
 
 // Dec reads one section. Errors are sticky: after the first malformed
 // read every subsequent read returns zero values and Err reports the
-// failure. Decoded strings and byte runs alias the Open buffer.
+// failure. Decoded strings alias the Open buffer.
 type Dec struct {
 	buf  []byte
 	pos  int
@@ -341,17 +327,6 @@ func (d *Dec) Bool() bool {
 	return b != 0
 }
 
-// Float reads a float64.
-func (d *Dec) Float() float64 {
-	if d.err != nil || len(d.buf)-d.pos < 8 {
-		d.fail()
-		return 0
-	}
-	u := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return math.Float64frombits(u)
-}
-
 // String reads a string-pool reference and returns the string zero-copy:
 // the header points into the pool bytes of the Open buffer, so a warm
 // cache hit materializes corpora without copying any text.
@@ -369,21 +344,6 @@ func (d *Dec) String() string {
 		return ""
 	}
 	return unsafe.String(&d.pool[off], int(n))
-}
-
-// Bytes returns a zero-copy alias of a length-prefixed raw byte run.
-func (d *Dec) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail()
-		return nil
-	}
-	b := d.buf[d.pos : d.pos+int(n) : d.pos+int(n)]
-	d.pos += int(n)
-	return b
 }
 
 // Len reads a slice/map length written by Enc.Len, reporting nil-ness.

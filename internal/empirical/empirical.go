@@ -383,7 +383,9 @@ func (m *matcher) validateFile(f configgen.File) *fileReport {
 
 // ValidateConfigsNaive is the original sequential implementation, kept
 // verbatim (minus telemetry) as the golden reference the equivalence tests
-// hold ValidateConfigsOpts against — the RecommendNaive pattern.
+// hold ValidateConfigsOpts against. Unlike the mapper's naive scorer it
+// cannot move into a test file yet: the root package's
+// ValidateConfigs/naive benchmark row calls it too.
 func ValidateConfigsNaive(ctx context.Context, v *vdm.VDM, files []configgen.File) *Report {
 	rep := &Report{Files: len(files), UsedCorpora: map[int]bool{}}
 	unique := map[string]bool{}

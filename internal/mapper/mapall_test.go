@@ -155,9 +155,10 @@ func TestMapAllCancellation(t *testing.T) {
 }
 
 // TestMapperConcurrentHammer drives one shared composite mapper from 8
-// goroutines mixing Recommend and MapAll. Run under -race (make race, CI)
-// it proves the encoder cache, the precombined matrices, and the IR index
-// are safe for concurrent queries.
+// goroutines mixing Recommend, MapAll and Fingerprint (the engine keys
+// jobs that share a mapper concurrently). Run under -race (make race, CI)
+// it proves the encoder cache, the precombined matrices, the IR index and
+// the encoder tables are safe for concurrent queries.
 func TestMapperConcurrentHammer(t *testing.T) {
 	tree := testTree()
 	enc := nlp.NewNetBERT(48, devmodel.GeneralSynonyms())
@@ -172,6 +173,7 @@ func TestMapperConcurrentHammer(t *testing.T) {
 		{Corpus: 1, Name: "vlan-id"},
 	}
 	want := m.Recommend(ExtractContext(v, params[0]), 5)
+	fp := m.Fingerprint()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -182,6 +184,10 @@ func TestMapperConcurrentHammer(t *testing.T) {
 				if g%2 == 0 {
 					if recs := m.Recommend(ExtractContext(v, p), 5); len(recs) == 0 {
 						t.Error("no recommendations")
+						return
+					}
+					if got := m.Fingerprint(); got != fp {
+						t.Errorf("fingerprint drifted under queries: %s != %s", got, fp)
 						return
 					}
 					continue

@@ -17,7 +17,12 @@ package mapper
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -118,16 +123,6 @@ func WithFloatScoring() Option {
 	return func(m *Mapper) { m.floatOnly = true }
 }
 
-// WithMatrixArtifact primes the mapper from a previously exported
-// precombined-matrix artifact (ExportMatrix). When the artifact matches
-// the tree, encoder dimension, and weight vector, New skips re-encoding
-// every UDM attribute context and rebuilding (and re-quantizing) the
-// precombined matrix; a stale or foreign artifact is ignored and the
-// mapper is built from scratch — cache-miss semantics, like DiskStore.
-func WithMatrixArtifact(data []byte) Option {
-	return func(m *Mapper) { m.matrixArt = data }
-}
-
 // Mapper recommends UDM attributes for VDM parameters. Recommend and
 // MapAll are safe for concurrent use; RefreshUDM and encoder fine-tuning
 // mutate shared state and must not race with in-flight queries.
@@ -153,8 +148,6 @@ type Mapper struct {
 	// Recommend prunes through it and rescores survivors on comb.
 	quant     *quantMatrix
 	floatOnly bool
-	matrixArt []byte
-	fromArt   bool
 
 	// Metric handles resolved once in New, keyed by model kind, so
 	// Recommend (called per parameter, §7.3 benchmarks it) pays atomics only.
@@ -203,24 +196,16 @@ func New(tree *udm.Tree, enc nlp.Encoder, useIR bool, opts ...Option) (*Mapper, 
 		for i := range m.weights {
 			m.weights[i] /= sum
 		}
-		// A matching matrix artifact carries the attribute embeddings and
-		// the (already quantized) precombined matrix; importing it skips
-		// the per-attribute encoding and rebuild below.
-		if m.matrixArt == nil || m.importMatrix(m.matrixArt) != nil {
-			m.udmEmb = make([][]nlp.Vec, tree.Len())
-			for i := range m.udmEmb {
-				ctx := tree.Context(i)
-				rows := make([]nlp.Vec, len(ctx))
-				for j, s := range ctx {
-					rows[j] = enc.Encode(s)
-				}
-				m.udmEmb[i] = rows
+		m.udmEmb = make([][]nlp.Vec, tree.Len())
+		for i := range m.udmEmb {
+			ctx := tree.Context(i)
+			rows := make([]nlp.Vec, len(ctx))
+			for j, s := range ctx {
+				rows[j] = enc.Encode(s)
 			}
-			m.rebuildComb()
-		} else {
-			m.fromArt = true
+			m.udmEmb[i] = rows
 		}
-		m.matrixArt = nil
+		m.rebuildComb()
 	}
 	m.telRecs = telemetry.GetCounter("nassim_mapper_recommendations_total", "model", m.Name())
 	m.telLatency = telemetry.GetHistogram("nassim_mapper_recommend_seconds", nil, "model", m.Name())
@@ -239,6 +224,43 @@ func (m *Mapper) Name() string {
 	default:
 		return "IR"
 	}
+}
+
+// Fingerprint is the mapper's content identity: a sha256 over every input
+// that can change what Recommend returns — the model combination, the
+// shortlist size, the normalized Equation 2 weights, the encoder's
+// settings and learned tables, and every UDM attribute (results carry
+// the whole attribute). Float scoring and the MapAll worker count are
+// left out because neither changes a score. It is computed on each call,
+// so fine-tuning followed by RefreshUDM changes it with nothing to
+// refresh; like RefreshUDM, it must not race with fine-tuning.
+func (m *Mapper) Fingerprint() string {
+	h := sha256.New()
+	var frame [8]byte
+	write := func(s string) {
+		binary.BigEndian.PutUint64(frame[:], uint64(len(s)))
+		h.Write(frame[:])
+		io.WriteString(h, s)
+	}
+	write(m.Name())
+	write(strconv.Itoa(m.shortlist))
+	write(strconv.Itoa(len(m.weights)))
+	for _, w := range m.weights {
+		write(strconv.FormatUint(math.Float64bits(w), 16))
+	}
+	if m.enc != nil {
+		m.enc.WriteIdentity(write)
+	}
+	for _, a := range m.tree.Attrs {
+		write(a.ID)
+		write(a.Name)
+		write(a.Desc)
+		write(strconv.Itoa(len(a.Path)))
+		for _, p := range a.Path {
+			write(p)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // rebuildComb recomputes the precombined UDM matrix from the current
@@ -297,35 +319,9 @@ func (m *Mapper) dlScore(paramEmb []nlp.Vec, attr int) float64 {
 	return score
 }
 
-// dlScoreNaive is the scalar reference for Equation 2: the weighted sum of
-// the KV x KU pairwise row cosines, norms recomputed per pair. Retained as
-// the executable specification the vectorized path is differentially
-// tested against.
-func (m *Mapper) dlScoreNaive(paramEmb []nlp.Vec, attr int) float64 {
-	score := 0.0
-	for i, pe := range paramEmb {
-		for j, ae := range m.udmEmb[attr] {
-			score += m.weights[i*KU+j] * nlp.Cosine(pe, ae)
-		}
-	}
-	return score
-}
-
 // Recommend returns the top-k UDM attributes for a parameter context,
 // highest score first (ties break toward the lower attribute index).
 func (m *Mapper) Recommend(ctx ParamContext, k int) []Recommendation {
-	return m.recommend(ctx, k, false)
-}
-
-// RecommendNaive is Recommend on the pre-vectorization scoring path
-// (per-pair cosines, full stable sort). It exists so golden tests can
-// prove the fast path ranks identically; production callers want
-// Recommend.
-func (m *Mapper) RecommendNaive(ctx ParamContext, k int) []Recommendation {
-	return m.recommend(ctx, k, true)
-}
-
-func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation {
 	if k <= 0 {
 		k = 10
 	}
@@ -363,18 +359,12 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 		paramEmb[i] = m.enc.Encode(s)
 	}
 	var top []nlp.Scored
-	if !naive && m.quant != nil && len(candidates) >= quantMinCandidates {
+	if m.quant != nil && len(candidates) >= quantMinCandidates {
 		top = m.scoreQuant(paramEmb, candidates, k)
 	} else {
 		scored := make([]nlp.Scored, len(candidates))
 		for ci, a := range candidates {
-			score := 0.0
-			if naive {
-				score = m.dlScoreNaive(paramEmb, a)
-			} else {
-				score = m.dlScore(paramEmb, a)
-			}
-			scored[ci] = nlp.Scored{Doc: a, Score: score}
+			scored[ci] = nlp.Scored{Doc: a, Score: m.dlScore(paramEmb, a)}
 		}
 		top = nlp.TopKScored(scored, k)
 	}

@@ -226,3 +226,81 @@ func TestRecommendDefaultK(t *testing.T) {
 		t.Errorf("default k recs = %d, want 10", len(recs))
 	}
 }
+
+// TestFingerprint pins what the map_to_udm cache key sees: mappers built
+// from equal inputs share a fingerprint, a change to any one input that
+// can move a score changes it, and settings that leave every score
+// bit-identical leave it alone.
+func TestFingerprint(t *testing.T) {
+	syn := devmodel.GeneralSynonyms()
+	build := func(tree *udm.Tree, enc nlp.Encoder, ir bool, opts ...Option) *Mapper {
+		t.Helper()
+		m, err := New(tree, enc, ir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	netbert := func() nlp.Encoder { return nlp.NewNetBERT(32, syn) }
+	edited := func(edit func(a *udm.Attribute)) *udm.Tree {
+		tree := testTree()
+		edit(&tree.Attrs[3])
+		return tree
+	}
+	weights := make([]float64, KV*KU)
+	for i := range weights {
+		weights[i] = float64(1 + i%3)
+	}
+	// "nbr" replaces "peer" between shared anchors in three of seven
+	// pairs, enough support for one learned alignment.
+	var examples []nlp.TrainExample
+	for _, p := range [][2]string{
+		{"set the nbr address", "set the peer address"},
+		{"show the nbr state", "show the peer state"},
+		{"reset the nbr session", "reset the peer session"},
+		{"vlan identifier value", "vlan id value"},
+		{"interface mtu size", "interface mtu size"},
+		{"route metric cost", "route metric cost"},
+		{"system hostname text", "system hostname text"},
+	} {
+		examples = append(examples, nlp.TrainExample{Query: strings.Fields(p[0]), Target: strings.Fields(p[1])})
+	}
+	tuned := func(ex []nlp.TrainExample) *Mapper {
+		t.Helper()
+		nb := nlp.NewNetBERT(32, syn)
+		m := build(testTree(), nb, true)
+		if st := nb.FineTune(ex, 10, 1, 7); len(ex) > 0 && st.Alignments == 0 {
+			t.Fatal("fine-tuning learned no alignment")
+		}
+		m.RefreshUDM()
+		return m
+	}
+
+	want := build(testTree(), netbert(), true).Fingerprint()
+	cases := []struct {
+		name string
+		m    *Mapper
+		same bool
+	}{
+		{"rebuilt", build(testTree(), netbert(), true), true},
+		{"float scoring", build(testTree(), netbert(), true, WithFloatScoring()), true},
+		{"1 map worker", build(testTree(), netbert(), true, WithMapWorkers(1)), true},
+		{"4 map workers", build(testTree(), netbert(), true, WithMapWorkers(4)), true},
+		{"fine-tuned on nothing", tuned(nil), true},
+		{"encoder kind", build(testTree(), nlp.NewSBERT(32, syn), true), false},
+		{"dimension", build(testTree(), nlp.NewNetBERT(48, syn), true), false},
+		{"weights", build(testTree(), netbert(), true, WithWeights(weights)), false},
+		{"shortlist", build(testTree(), netbert(), true, WithShortlist(20)), false},
+		{"no IR", build(testTree(), netbert(), false), false},
+		{"attribute desc", build(edited(func(a *udm.Attribute) { a.Desc += " edited" }), netbert(), true), false},
+		{"attribute path", build(edited(func(a *udm.Attribute) {
+			a.Path = append(append([]string(nil), a.Path...), "edited")
+		}), netbert(), true), false},
+		{"fine-tuned", tuned(examples), false},
+	}
+	for _, tc := range cases {
+		if got := tc.m.Fingerprint(); (got == want) != tc.same {
+			t.Errorf("%s: fingerprint %s, base %s, want same=%v", tc.name, got, want, tc.same)
+		}
+	}
+}

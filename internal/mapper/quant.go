@@ -9,9 +9,9 @@ package mapper
 //
 // Quantized scores are approximations, but the ranking the mapper emits
 // must stay byte-identical to the float reference (the top-k goldens and
-// the Recommend/RecommendNaive differential suite pin it). The scorer
-// therefore never ranks on quantized values directly; it uses them as a
-// certified prune:
+// the differential suite against the test-only naive scorer pin it). The
+// scorer therefore never ranks on quantized values directly; it uses them
+// as a certified prune:
 //
 //  1. For every candidate, compute the quantized score s̃ and a hard
 //     error bound B with |s − s̃| ≤ B (s the real-arithmetic score):

@@ -123,117 +123,3 @@ func TestDotInt8MatchesScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestMatrixArtifactRoundTrip proves the mapper-matrix/v1 artifact
-// restores a mapper whose embeddings, precombined matrix, quantized
-// image, and recommendations are bit-identical to the freshly built one
-// — and that stale artifacts are rejected, falling back to a rebuild.
-func TestMatrixArtifactRoundTrip(t *testing.T) {
-	tree := testTree()
-	v := miniVDM()
-	built, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := built.ExportMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), true, WithMatrixArtifact(art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.MatrixLoaded() {
-		t.Fatal("matching artifact was not imported")
-	}
-	if len(warm.comb) != len(built.comb) {
-		t.Fatalf("comb length %d != %d", len(warm.comb), len(built.comb))
-	}
-	for i := range built.comb {
-		if math.Float64bits(warm.comb[i]) != math.Float64bits(built.comb[i]) {
-			t.Fatalf("comb[%d] drifted: %v != %v", i, warm.comb[i], built.comb[i])
-		}
-	}
-	for r := 0; r < built.quant.rows; r++ {
-		if warm.quant.scale[r] != built.quant.scale[r] || warm.quant.sumAbs[r] != built.quant.sumAbs[r] {
-			t.Fatalf("quant row %d meta drifted", r)
-		}
-	}
-	for i := range built.quant.q {
-		if warm.quant.q[i] != built.quant.q[i] {
-			t.Fatalf("quant q[%d] drifted", i)
-		}
-	}
-	pc := ExtractContext(v, vdm.Parameter{Corpus: 0, Name: "as-number"})
-	want := built.Recommend(pc, 10)
-	got := warm.Recommend(pc, 10)
-	for i := range want {
-		if got[i].AttrIndex != want[i].AttrIndex || got[i].Score != want[i].Score {
-			t.Fatalf("pos %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	// The naive reference path needs the restored embeddings too.
-	wantN := built.RecommendNaive(pc, 10)
-	gotN := warm.RecommendNaive(pc, 10)
-	for i := range wantN {
-		if gotN[i].AttrIndex != wantN[i].AttrIndex || gotN[i].Score != wantN[i].Score {
-			t.Fatalf("naive pos %d: %+v != %+v", i, gotN[i], wantN[i])
-		}
-	}
-
-	// Stale artifacts — wrong encoder, corrupt bytes — fall back to a
-	// from-scratch build instead of failing or importing garbage.
-	other, err := New(tree, nlp.NewSBERT(32, devmodel.GeneralSynonyms()), true, WithMatrixArtifact(art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.MatrixLoaded() {
-		t.Fatal("dim-32 mapper imported a dim-48 artifact")
-	}
-	bad := append([]byte(nil), art...)
-	bad[len(bad)-1] ^= 0xff
-	corrupt, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), true, WithMatrixArtifact(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrupt.MatrixLoaded() {
-		t.Fatal("corrupt artifact imported")
-	}
-	if recs := corrupt.Recommend(pc, 5); len(recs) == 0 {
-		t.Fatal("fallback mapper returned nothing")
-	}
-}
-
-// TestFloatScoringExportSkipsQuant: a float-only mapper exports an
-// artifact without a quant section, and a default mapper importing it
-// re-quantizes locally rather than running unquantized.
-func TestFloatScoringExportSkipsQuant(t *testing.T) {
-	tree := testTree()
-	ref, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), false, WithFloatScoring())
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := ref.ExportMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), false, WithMatrixArtifact(art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.MatrixLoaded() {
-		t.Fatal("quantless artifact not imported")
-	}
-	if warm.quant == nil {
-		t.Fatal("importer did not rebuild the quantized matrix")
-	}
-	fresh, err := New(tree, nlp.NewSBERT(48, devmodel.GeneralSynonyms()), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.quant.q {
-		if warm.quant.q[i] != fresh.quant.q[i] {
-			t.Fatalf("requantized q[%d] drifted", i)
-		}
-	}
-}

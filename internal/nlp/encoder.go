@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -35,6 +36,11 @@ type Encoder interface {
 	Name() string
 	Encode(text string) Vec
 	Dim() int
+	// WriteIdentity passes write, one field per call, every setting and
+	// table that can change what Encode returns: two encoders that write
+	// the same fields encode every text alike. It reads the learned
+	// tables, so it must not race with fine-tuning.
+	WriteIdentity(write func(field string))
 }
 
 // tokenVector derives a deterministic unit vector for a token: the token
@@ -94,6 +100,28 @@ type denseEncoder struct {
 
 func (e *denseEncoder) Name() string { return e.name }
 func (e *denseEncoder) Dim() int     { return e.dim }
+
+// WriteIdentity writes the name, dimension, weighting, anisotropy and the
+// canon and domain tables in sorted key order. The anisotropy axis and the
+// token vectors follow from the dimension, and the caches only memoize.
+func (e *denseEncoder) WriteIdentity(write func(field string)) {
+	write(e.name)
+	write(strconv.Itoa(e.dim))
+	write(strconv.FormatBool(e.weighted))
+	write(strconv.FormatUint(math.Float64bits(e.anisotropy), 16))
+	for _, table := range []map[string]string{e.canon, e.domain} {
+		keys := make([]string, 0, len(table))
+		for k := range table {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		write(strconv.Itoa(len(keys)))
+		for _, k := range keys {
+			write(k)
+			write(table[k])
+		}
+	}
+}
 
 func (e *denseEncoder) canonicalize(tok string) string {
 	if d, ok := e.domain[tok]; ok {

@@ -141,10 +141,6 @@ type MapSpec struct {
 	Params []vdm.Parameter
 	Limit  int // cap when Params is nil (0 = all)
 	TopK   int // recommendations per parameter (default 10)
-	// CacheSalt distinguishes mapper states (fine-tuned vs raw) in the
-	// artifact key. The engine cannot hash a mapper's weights; callers that
-	// reuse a store across differently-trained mappers must vary the salt.
-	CacheSalt string
 }
 
 // Mapping is one mapped parameter of the MapToUDM stage.
@@ -704,7 +700,10 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		for _, p := range params {
 			paramParts = append(paramParts, strconv.Itoa(p.Corpus), p.Name)
 		}
-		mapKey := Key(StageMapToUDM, deriveKey, spec.Mapper.Name(), spec.CacheSalt,
+		// Keyed on the mapper's content, not its name: a mapper retrained
+		// in place (§3.2's improvement loop) keeps its name but must not
+		// get back the answers of its earlier state.
+		mapKey := Key(StageMapToUDM, deriveKey, spec.Mapper.Fingerprint(),
 			strconv.Itoa(topK), HashStrings(paramParts...))
 		jr.noteKey(StageMapToUDM, mapKey)
 		mappings, err := runStage(ctx, e, jr, StageMapToUDM, mapKey, nil,

@@ -17,6 +17,11 @@ const (
 	HeaderKey   = "X-Nassim-Key"
 )
 
+// MaxRequestBytes caps a POST /v1/assimilate body. A Request is a few
+// hundred bytes, so the cap is ample, and it bounds what one client can
+// make the decoder buffer.
+const MaxRequestBytes = 64 << 10
+
 // Handler mounts the serving API:
 //
 //	POST /v1/assimilate      submit a request (SSE stream with ?stream=1
@@ -67,8 +72,13 @@ func Handler(s *Server) http.Handler {
 
 func handleAssimilate(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	stream := r.URL.Query().Get("stream") == "1" ||

@@ -195,6 +195,15 @@ func TestHTTPEndpoints(t *testing.T) {
 	if r5 := post(`{"vendors":["NoSuchVendor"]}`, ""); r5.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid vendor status %d; want 400", r5.StatusCode)
 	}
+	// Oversized body: 413 before admission, and nothing runs.
+	execBefore := execs.Load()
+	huge := `{"vendors":["` + strings.Repeat("A", MaxRequestBytes) + `"]}`
+	if r := post(huge, ""); r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body status %d; want 413", r.StatusCode)
+	}
+	if d := execs.Load() - execBefore; d != 0 {
+		t.Errorf("oversized body ran the pipeline %d times; want 0", d)
+	}
 
 	// Stats.
 	r6, err := http.Get(ts.URL + "/v1/stats")

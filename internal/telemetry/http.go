@@ -6,10 +6,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // ExpvarName is the expvar key the Default registry publishes under.
 const ExpvarName = "nassim_metrics"
+
+// ReadHeaderTimeout bounds how long every nassim HTTP server waits for a
+// request's headers, so a client that withholds or trickles them cannot
+// hold a connection open forever. Idle and whole-request read timeouts
+// stay unset: load generators keep idle keep-alive connections open
+// between requests, and with neither set the server never closes one.
+const ReadHeaderTimeout = 10 * time.Second
 
 // NewMux returns an http.ServeMux with the operational endpoints:
 //
@@ -70,7 +78,7 @@ func Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{srv: &http.Server{Handler: NewMux()}, l: l}
+	s := &Server{srv: &http.Server{Handler: NewMux(), ReadHeaderTimeout: ReadHeaderTimeout}, l: l}
 	go s.srv.Serve(l)
 	return s, nil
 }

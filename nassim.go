@@ -252,14 +252,6 @@ type Mapper struct {
 // MapperOption re-exports mapper.Option for NewMapper callers.
 type MapperOption = mapper.Option
 
-// MapperMatrixSchema is the nassim-art schema tag of the saved
-// precombined mapper-matrix artifact.
-const MapperMatrixSchema = mapper.MatrixSchema
-
-// WithMatrixArtifact primes a mapper from a saved precombined-matrix
-// artifact (Mapper.ExportMatrix); mismatched artifacts are ignored.
-func WithMatrixArtifact(data []byte) MapperOption { return mapper.WithMatrixArtifact(data) }
-
 // WithFloatScoring disables the int8-quantized candidate prune (the
 // scalar-reference configuration the benchmarks compare against).
 func WithFloatScoring() MapperOption { return mapper.WithFloatScoring() }

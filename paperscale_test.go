@@ -1,0 +1,60 @@
+//go:build !race
+
+// Paper-scale pins. They run in every plain test run; the race detector
+// would stretch them from seconds to most of a minute, so -race runs
+// leave them out.
+
+package nassim_test
+
+import (
+	"strings"
+	"testing"
+
+	"nassim/internal/eval"
+)
+
+// TestTable4PaperScale asserts every discrete Table 4 count the paper
+// reports, at scale 1.0.
+func TestTable4PaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale corpus in -short mode")
+	}
+	rows, err := eval.Table4(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][6]int{ // commands, views, pairs, invalid, examples, ambiguous
+		"Huawei": {12874, 607, 36274, 13, 15466, 47},
+		"Cisco":  {278, 27, 366, 19, 523, 8},
+		"Nokia":  {14046, 3832, 22734, 139, 0, 0},
+		"H3C":    {759, 28, 851, 13, 1147, 4},
+	}
+	for _, r := range rows {
+		w := want[r.Vendor]
+		got := [6]int{r.Commands, r.Views, r.CLIViewPairs, r.InvalidCLIs, r.ExampleSnippets, r.AmbiguousViews}
+		if got != w {
+			t.Errorf("%s: %v, want %v", r.Vendor, got, w)
+		}
+		if r.Vendor == "Huawei" || r.Vendor == "Nokia" {
+			if r.MatchingRatio != 1.0 {
+				t.Errorf("%s matching ratio = %f", r.Vendor, r.MatchingRatio)
+			}
+		}
+	}
+}
+
+// TestMapperPaperScale is the full-scale mapper regression: the Table 5
+// result shape must hold at paper scale.
+func TestMapperPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale corpus in -short mode")
+	}
+	tasks, err := eval.MapperEval(eval.MapperOptions{Scale: 1.0, Ks: eval.Table5Ks, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := eval.SanityChecks(tasks); len(v) != 0 {
+		t.Errorf("shape violations at paper scale:\n%s\n%s",
+			strings.Join(v, "\n"), eval.FormatMapper(tasks, true))
+	}
+}
