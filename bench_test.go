@@ -16,13 +16,14 @@ package nassim_test
 
 import (
 	"context"
-	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/cgm"
 	"nassim/internal/clisyntax"
 	"nassim/internal/devmodel"
@@ -252,9 +253,9 @@ func BenchmarkEndToEndAssimilation(b *testing.B) {
 
 func BenchmarkPipelineStages(b *testing.B) {
 	// End-to-end assimilation with per-stage wall time, recorded under the
-	// stage names of telemetry.StageTimer — the same schema cmd/evalbench
-	// exports to BENCH_telemetry.json (nassim-telemetry-bench/v1), so
-	// BENCH_*.json entries stay comparable across PRs.
+	// stage names of telemetry.StageTimer — the names cmd/evalbench's
+	// BENCH_telemetry.json rows use, so stage timings stay comparable
+	// across PRs.
 	data := setup(b)
 	d := data["Huawei"]
 	st := telemetry.NewStageTimer()
@@ -284,49 +285,55 @@ func BenchmarkPipelineStages(b *testing.B) {
 	for _, rec := range st.Records() {
 		b.ReportMetric(float64(rec.AvgNS), rec.Name+"-ns/op")
 	}
-	doc := telemetry.NewBenchDoc("Huawei", benchScale, 9, st)
-	if _, err := doc.MarshalIndent(); err != nil {
+}
+
+// benchDir is where the in-test emitters write their BENCH_<suite>.json
+// row lists (nassim-bench/v2; see internal/benchdiff). Unset, the
+// benchmarks only report to the test log.
+var benchDir = os.Getenv("NASSIM_BENCH_DIR")
+
+// writeBenchRows writes rows as $NASSIM_BENCH_DIR/BENCH_<suite>.json.
+func writeBenchRows(b *testing.B, suite string, rows []benchdiff.Row) {
+	b.Helper()
+	if benchDir == "" {
+		return
+	}
+	if err := benchdiff.WriteFile(filepath.Join(benchDir, "BENCH_"+suite+".json"), rows); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// mapperBench collects ns/op of the mapper hot-path benchmarks and, with
-// NASSIM_MAPPER_BENCH_OUT set (make bench-mapper), exports them as
-// BENCH_mapper.json (schema nassim-mapper-bench/v1) after every
-// benchmark, so the perf trajectory of the vectorized scorer is tracked
-// across PRs like the other BENCH_*.json documents.
-type mapperBenchEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	N       int     `json:"n"`
+// infoRow is a row that is reported when it moves but never gated.
+func infoRow(name, unit string, v float64) benchdiff.Row {
+	return benchdiff.Row{Name: name, Unit: unit, Better: benchdiff.Info, Value: v}
 }
 
+// goBenchRow is the ns/op row of the benchmark that just ran.
+func goBenchRow(b *testing.B, name string) benchdiff.Row {
+	return benchdiff.GoBench(name, float64(b.Elapsed().Nanoseconds())/float64(b.N), b.N)
+}
+
+// The mapper hot-path benchmarks export BENCH_mapper.json after every
+// benchmark, so the perf trajectory of the vectorized scorer is tracked
+// across PRs like the other BENCH_*.json documents.
 var (
-	mapperBenchMu      sync.Mutex
-	mapperBenchEntries = map[string]mapperBenchEntry{}
+	mapperBenchMu   sync.Mutex
+	mapperBenchRows = map[string]benchdiff.Row{}
 )
 
 func exportMapperBench(b *testing.B, name string) {
 	b.Helper()
-	out := os.Getenv("NASSIM_MAPPER_BENCH_OUT")
-	if out == "" {
+	if benchDir == "" {
 		return
 	}
 	mapperBenchMu.Lock()
 	defer mapperBenchMu.Unlock()
-	mapperBenchEntries[name] = mapperBenchEntry{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N), N: b.N}
-	doc := struct {
-		Schema     string                      `json:"schema"`
-		Scale      float64                     `json:"scale"`
-		Benchmarks map[string]mapperBenchEntry `json:"benchmarks"`
-	}{"nassim-mapper-bench/v1", benchScale, mapperBenchEntries}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
+	mapperBenchRows[name] = goBenchRow(b, name)
+	rows := []benchdiff.Row{infoRow("setup.scale", "ratio", benchScale)}
+	for _, r := range mapperBenchRows {
+		rows = append(rows, r)
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRows(b, "mapper", rows)
 }
 
 // BenchmarkRecommend measures the vectorized Equation 2 hot path: one
@@ -535,9 +542,9 @@ func BenchmarkIntentPush(b *testing.B) {
 }
 
 // BenchmarkAssimilateParallel measures the engine over the four built-in
-// vendors with a 4-worker pool. With NASSIM_BENCH_OUT set it exports BENCH_pipeline.json
-// (schema nassim-pipeline-bench/v1): per-stage wall time plus run/skip
-// aggregates, comparable across PRs like BENCH_telemetry.json.
+// vendors with a 4-worker pool and exports BENCH_pipeline.json: per-stage
+// wall time plus the run's wall time, comparable across PRs like
+// BENCH_telemetry.json.
 func BenchmarkAssimilateParallel(b *testing.B) {
 	const workers = 4
 	timer := nassim.NewStageTimer()
@@ -555,24 +562,11 @@ func BenchmarkAssimilateParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(stats.Runs()), "stages/op")
-	out := os.Getenv("NASSIM_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	doc := struct {
-		Schema  string                  `json:"schema"`
-		Workers int                     `json:"workers"`
-		Scale   float64                 `json:"scale"`
-		Jobs    int                     `json:"jobs"`
-		WallNS  int64                   `json:"wall_ns"`
-		Stages  []telemetry.StageRecord `json:"stages"`
-	}{"nassim-pipeline-bench/v1", workers, benchScale, stats.Jobs,
-		stats.Wall.Nanoseconds(), timer.Records()}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	// The wall time comes from one run, so it gates like the stage rows.
+	writeBenchRows(b, "pipeline", append(timer.BenchRows(),
+		benchdiff.Row{Name: "wall_ns", Unit: "ns", Better: benchdiff.Lower, Value: float64(stats.Wall.Nanoseconds()),
+			Tol: benchdiff.SingleShotTolerance, Floor: benchdiff.SingleShotFloorNS},
+		infoRow("jobs", "count", float64(stats.Jobs)),
+		infoRow("setup.scale", "ratio", benchScale),
+		infoRow("setup.workers", "count", workers)))
 }

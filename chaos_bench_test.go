@@ -1,13 +1,12 @@
 package nassim_test
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
 	"testing"
 	"time"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/telemetry"
 )
 
@@ -15,9 +14,8 @@ import (
 // chaos profile (5% resets, 10% 200ms latency spikes, one flap window):
 // each iteration is one show-command exchange through retry, breaker, and
 // replay. The interesting outputs are the latency tail the injected
-// faults produce and how many retries absorbed them; with
-// NASSIM_CHAOS_BENCH_OUT set (make chaos) they are exported as
-// BENCH_chaos.json (schema nassim-chaos-bench/v1).
+// faults produce and how many retries absorbed them, exported as
+// BENCH_chaos.json (make bench-chaos).
 func BenchmarkChaosExec(b *testing.B) {
 	m, err := nassim.SyntheticModel("Cisco", 0.02)
 	if err != nil {
@@ -75,43 +73,23 @@ func latencyQuantiles(lat []time.Duration) (p50, p99 time.Duration) {
 func exportChaosBench(b *testing.B, lat []time.Duration, p50, p99 time.Duration,
 	retries int64, stats nassim.ChaosStats) {
 	b.Helper()
-	out := os.Getenv("NASSIM_CHAOS_BENCH_OUT")
-	if out == "" {
-		return
-	}
 	var total time.Duration
 	for _, d := range lat {
 		total += d
 	}
-	doc := struct {
-		Schema  string  `json:"schema"`
-		N       int     `json:"n"`
-		P50Ms   float64 `json:"exec_p50_ms"`
-		P99Ms   float64 `json:"exec_p99_ms"`
-		MeanMs  float64 `json:"exec_mean_ms"`
-		Retries int64   `json:"retries"`
-		Faults  struct {
-			Conns   int64 `json:"connections"`
-			Dropped int64 `json:"dropped"`
-			Resets  int64 `json:"resets"`
-			Spikes  int64 `json:"latency_spikes"`
-		} `json:"faults_delivered"`
-	}{
-		Schema: "nassim-chaos-bench/v1", N: len(lat),
-		P50Ms:   float64(p50.Microseconds()) / 1e3,
-		P99Ms:   float64(p99.Microseconds()) / 1e3,
-		MeanMs:  float64(total.Microseconds()) / 1e3 / float64(len(lat)),
-		Retries: retries,
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	timing := func(name string, v float64) benchdiff.Row {
+		return benchdiff.Row{Name: name, Unit: "ms", Better: benchdiff.Lower, Value: v}
 	}
-	doc.Faults.Conns = stats.Conns
-	doc.Faults.Dropped = stats.Dropped
-	doc.Faults.Resets = stats.Resets
-	doc.Faults.Spikes = stats.Spikes
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRows(b, "chaos", []benchdiff.Row{
+		timing("exec_p50_ms", ms(p50)),
+		timing("exec_p99_ms", ms(p99)),
+		timing("exec_mean_ms", ms(total)/float64(len(lat))),
+		{Name: "retries", Unit: "count", Better: benchdiff.Lower, Value: float64(retries)},
+		infoRow("n", "count", float64(len(lat))),
+		infoRow("faults.connections", "count", float64(stats.Conns)),
+		infoRow("faults.dropped", "count", float64(stats.Dropped)),
+		infoRow("faults.resets", "count", float64(stats.Resets)),
+		infoRow("faults.latency_spikes", "count", float64(stats.Spikes)),
+	})
 }

@@ -5,14 +5,13 @@
 //	benchdiff -baseline . -current out/                 # all BENCH_*.json pairs
 //	benchdiff -baseline BENCH_mapper.json -current out/BENCH_mapper.json
 //	benchdiff -baseline . -current out/ -json           # machine-readable report
-//	benchdiff -baseline . -current out/ -threshold 0.2  # tighten the timing gate
 //
 // With directories, every BENCH_*.json in the baseline directory is paired
 // with the file of the same name in the current directory; a baseline with
 // no current counterpart fails the gate (a silently dropped benchmark is a
-// regression too). Timings may grow and derived higher-better figures
-// (speedups, utilization) may drop by the schema tolerances before the
-// gate trips; see internal/benchdiff for the flattening rules per schema.
+// regression too). Every file is a nassim-bench/v2 row list, and each
+// baseline row gates the current row of the same name at its own
+// direction, tolerance and floor; see internal/benchdiff.
 package main
 
 import (
@@ -32,11 +31,6 @@ func main() {
 	baseline := fs.String("baseline", "", "baseline BENCH_*.json file, or directory of them (required)")
 	current := fs.String("current", "", "current BENCH_*.json file, or directory of them (required)")
 	jsonOut := fs.Bool("json", false, "emit the comparison as JSON instead of a table")
-	threshold := fs.Float64("threshold", 0, "allowed fractional timing growth (0 = schema default, "+
-		fmt.Sprintf("%g", benchdiff.DefaultTimingTolerance)+")")
-	derivedTol := fs.Float64("derived-threshold", 0, "allowed fractional drop of higher-better metrics (0 = default, "+
-		fmt.Sprintf("%g", benchdiff.DefaultDerivedTolerance)+")")
-	allowMissing := fs.Bool("allow-missing", false, "a baseline file with no current counterpart warns instead of failing")
 	fs.Parse(os.Args[1:])
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -current are required")
@@ -53,14 +47,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: no BENCH_*.json baselines found in", *baseline)
 		os.Exit(2)
 	}
-	tol := benchdiff.Tolerances{Timing: *threshold, Derived: *derivedTol}
 
 	type fileResult struct {
 		File   string            `json:"file"`
 		Result *benchdiff.Result `json:"result"`
 	}
 	var results []fileResult
-	failed := false
+	failed := len(missing) > 0
 	for _, p := range pairs {
 		base, err := os.ReadFile(p[0])
 		if err != nil {
@@ -72,7 +65,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(2)
 		}
-		res, err := benchdiff.Compare(base, cur, tol)
+		res, err := benchdiff.Compare(base, cur)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: %s: %v\n", filepath.Base(p[0]), err)
 			os.Exit(2)
@@ -88,13 +81,13 @@ func main() {
 			Results      []fileResult `json:"results"`
 			MissingFiles []string     `json:"missing_files,omitempty"`
 			Failed       bool         `json:"failed"`
-		}{results, missing, failed || (len(missing) > 0 && !*allowMissing)}
+		}{results, missing, failed}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(&doc)
 	} else {
 		for _, fr := range results {
-			fmt.Printf("%s: %s", fr.File, fr.Result.Table())
+			fmt.Printf("%s:\n%s", fr.File, fr.Result.Table())
 		}
 		for _, f := range missing {
 			fmt.Printf("%s: no current counterpart\n", f)
@@ -104,9 +97,6 @@ func main() {
 			summary = "REGRESSIONS FOUND"
 		}
 		fmt.Printf("benchdiff: %d file(s) compared: %s\n", len(results), summary)
-	}
-	if len(missing) > 0 && !*allowMissing {
-		failed = true
 	}
 	if failed {
 		os.Exit(1)

@@ -22,8 +22,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/eval"
 	"nassim/internal/telemetry"
 )
@@ -185,8 +187,9 @@ func main() {
 // runStages drives one synthetic assimilation with per-stage wall-clock
 // timing — parse, syntax+CGM, hierarchy derivation (corrections folded
 // in), empirical validation, mapper fine-tune and recommendation,
-// controller intent — prints the timing table and exports the stable
-// BENCH_telemetry.json document (schema nassim-telemetry-bench/v1).
+// controller intent — prints the timing table and exports
+// BENCH_telemetry.json: the stage rows, the metric registry's samples
+// and the setup, as a nassim-bench/v2 row list.
 //
 // The VDM-construction stages run through the pipeline engine, which
 // caches the parse and syntax artifacts and derives the corrected VDM
@@ -262,14 +265,35 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 	})
 
 	fmt.Printf("Pipeline stage timing (%s, scale %.2f):\n%s", vendor, scale, st.Table())
-	doc := telemetry.NewBenchDoc(vendor, scale, seed, st)
-	data, err := doc.MarshalIndent()
-	if err != nil {
+	metrics := telemetry.Default().FlatSnapshot()
+	rows := append(st.BenchRows(),
+		benchdiff.Row{Name: "setup.scale", Unit: "ratio", Better: benchdiff.Info, Value: scale},
+		benchdiff.Row{Name: "setup.seed", Unit: "id", Better: benchdiff.Info, Value: float64(seed)})
+	for k, v := range metrics {
+		rows = append(rows, registryRow(k, v))
+	}
+	if err := benchdiff.WriteFile(out, rows); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote stage telemetry to %s (%d metric samples)\n\n", out, len(doc.Metrics))
+	fmt.Printf("wrote stage telemetry to %s (%d metric samples)\n\n", out, len(metrics))
 	return nil
+}
+
+// registryRow turns one flattened registry sample into a benchdiff row.
+// The snapshot mixes counters and duration histograms: a duration's sum
+// or average gates as a timing — one run's histogram, not an average
+// over b.N, so at the single-shot tolerance and floor — and every other
+// sample is informational.
+func registryRow(key string, v float64) benchdiff.Row {
+	base := key
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		base = key[:i]
+	}
+	r := benchdiff.Row{Name: "metric." + key, Unit: "count", Better: benchdiff.Info, Value: v}
+	if strings.Contains(base, "_seconds") &&
+		(strings.HasSuffix(base, "_sum") || strings.HasSuffix(base, "_avg")) {
+		r.Unit, r.Better = "s", benchdiff.Lower
+		r.Tol, r.Floor = benchdiff.SingleShotTolerance, benchdiff.SingleShotFloorSeconds
+	}
+	return r
 }

@@ -1,5 +1,5 @@
-// Command loadgen benchmarks a nassimd serving endpoint and emits a
-// nassim-serve-bench/v1 document (BENCH_serve.json) for the benchdiff
+// Command loadgen benchmarks a nassimd serving endpoint and emits
+// BENCH_serve.json, a nassim-bench/v2 row list, for the benchdiff
 // regression gate.
 //
 // Two phases:
@@ -9,8 +9,8 @@
 //     pipeline execution (asserted via /v1/stats and the X-Nassim-Dedup
 //     headers).
 //  2. warm closed-loop — a mixed vendor workload over a warm result
-//     cache, measuring end-to-end latency (p50/p99/mean) and sustained
-//     RPS of the zero-JSON warm path.
+//     cache, measuring end-to-end latency (p50/p99/mean over the
+//     successful requests) and sustained RPS of the zero-JSON warm path.
 //
 // With -addr empty, loadgen hosts the daemon in-process (its own
 // listener on a loopback port), so `make bench-serve` needs no separate
@@ -33,40 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nassim/internal/benchdiff"
 	"nassim/internal/serve"
 	"nassim/internal/telemetry"
 )
-
-// BenchSchema identifies the serving benchmark document.
-const BenchSchema = "nassim-serve-bench/v1"
-
-// benchDoc is the emitted BENCH_serve.json layout.
-type benchDoc struct {
-	Schema     string  `json:"schema"`
-	Requests   int     `json:"requests"`
-	Errors     int     `json:"errors"`
-	DurationMs float64 `json:"duration_ms"`
-	RPS        float64 `json:"rps"`
-
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	LatencyMeanMs float64 `json:"latency_mean_ms"`
-
-	// DedupHitRatio covers the measured warm phase: the fraction of
-	// requests answered without a pipeline execution.
-	DedupHitRatio float64 `json:"dedup_hit_ratio"`
-
-	Dedup8Way struct {
-		Clients    int     `json:"clients"`
-		Executions int64   `json:"executions"`
-		HitRatio   float64 `json:"hit_ratio"`
-	} `json:"dedup_8way"`
-
-	Queue struct {
-		MaxDepth int64 `json:"max_depth"`
-		Shed     int64 `json:"shed"`
-	} `json:"queue"`
-}
 
 func main() {
 	addr := flag.String("addr", "", "nassimd address; empty hosts the daemon in-process")
@@ -102,8 +72,6 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 	}
 	defer shutdown()
 
-	doc := benchDoc{Schema: BenchSchema}
-
 	// Phase 1: dedup fan-in against a cold key.
 	st0, err := stats(base)
 	if err != nil {
@@ -132,11 +100,10 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 	if err != nil {
 		return err
 	}
-	doc.Dedup8Way.Clients = concurrency
-	doc.Dedup8Way.Executions = st1.Executions - st0.Executions
-	doc.Dedup8Way.HitRatio = float64(hits.Load()) / float64(concurrency)
+	dedupExecs := st1.Executions - st0.Executions
+	dedupHitRatio := float64(hits.Load()) / float64(concurrency)
 	fmt.Printf("loadgen: dedup_%dway: %d executions, hit ratio %.3f\n",
-		concurrency, doc.Dedup8Way.Executions, doc.Dedup8Way.HitRatio)
+		concurrency, dedupExecs, dedupHitRatio)
 
 	// Warm every vendor in the cycle once so the measured phase exercises
 	// the warm (stored-bytes) path.
@@ -146,16 +113,17 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 		}
 	}
 
-	// Phase 2: closed-loop mixed workload over the warm cache.
+	// Phase 2: closed-loop mixed workload over the warm cache. Each client
+	// keeps the latencies of its successful requests; a failed request is
+	// counted as an error, not as a sample.
 	st2, err := stats(base)
 	if err != nil {
 		return err
 	}
-	latencies := make([]float64, requests)
+	samples := make([][]float64, concurrency)
 	var next atomic.Int64
 	t0 := time.Now()
-	wg = sync.WaitGroup{}
-	for c := 0; c < concurrency; c++ {
+	for c := range samples {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -170,7 +138,7 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 					errs.Add(1)
 					continue
 				}
-				latencies[i] = float64(time.Since(r0).Microseconds()) / 1000.0
+				samples[c] = append(samples[c], float64(time.Since(r0).Microseconds())/1000.0)
 			}
 		}()
 	}
@@ -181,29 +149,56 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 		return err
 	}
 
-	doc.Requests = requests
-	doc.Errors = int(errs.Load())
-	doc.DurationMs = float64(elapsed.Microseconds()) / 1000.0
-	doc.RPS = float64(requests) / elapsed.Seconds()
+	var latencies []float64
+	for _, s := range samples {
+		latencies = append(latencies, s...)
+	}
 	sort.Float64s(latencies)
-	doc.LatencyP50Ms = percentile(latencies, 50)
-	doc.LatencyP99Ms = percentile(latencies, 99)
-	doc.LatencyMeanMs = mean(latencies)
-	warmReqs := st3.Requests - st2.Requests
-	warmExecs := st3.Executions - st2.Executions
-	if warmReqs > 0 {
-		doc.DedupHitRatio = float64(warmReqs-warmExecs) / float64(warmReqs)
+	nErrs := errs.Load()
+	durationMs := float64(elapsed.Microseconds()) / 1000.0
+	rps := float64(requests) / elapsed.Seconds()
+	p50, p99 := percentile(latencies, 50), percentile(latencies, 99)
+	var warmHitRatio float64
+	if warmReqs := st3.Requests - st2.Requests; warmReqs > 0 {
+		warmHitRatio = float64(warmReqs-(st3.Executions-st2.Executions)) / float64(warmReqs)
 	}
-	doc.Queue.MaxDepth = st3.QueueMax
-	doc.Queue.Shed = st3.Shed
 	fmt.Printf("loadgen: warm phase: %d requests in %.0f ms (%.0f rps), p50 %.3f ms, p99 %.3f ms, dedup %.3f\n",
-		requests, doc.DurationMs, doc.RPS, doc.LatencyP50Ms, doc.LatencyP99Ms, doc.DedupHitRatio)
+		requests, durationMs, rps, p50, p99, warmHitRatio)
 
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
+	// Serving latency is measured per request but over a short warm loop
+	// on a shared runner, so it gates like a single-shot timing with a
+	// millisecond floor.
+	timing := func(name string, v float64) benchdiff.Row {
+		return benchdiff.Row{Name: name, Unit: "ms", Better: benchdiff.Lower, Value: v,
+			Tol: benchdiff.SingleShotTolerance, Floor: benchdiff.SingleShotFloorMs}
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	info := func(name, unit string, v float64) benchdiff.Row {
+		return benchdiff.Row{Name: name, Unit: unit, Better: benchdiff.Info, Value: v}
+	}
+	rows := []benchdiff.Row{
+		timing("latency_p50_ms", p50),
+		timing("latency_p99_ms", p99),
+		timing("latency_mean_ms", mean(latencies)),
+		{Name: "rps", Unit: "req/s", Better: benchdiff.Higher, Value: rps, Tol: benchdiff.SpeedupTolerance},
+		// The dedup economy is the serving layer's core invariant: the
+		// warm phase (dedup_hit_ratio: the fraction of requests answered
+		// without a pipeline execution) must stay near-fully deduplicated
+		// and the 8-way fan-in must coalesce to one execution. These are
+		// deterministic, not timing-noisy.
+		{Name: "dedup_hit_ratio", Unit: "ratio", Better: benchdiff.Higher, Value: warmHitRatio},
+		{Name: "dedup_8way.hit_ratio", Unit: "ratio", Better: benchdiff.Higher, Value: dedupHitRatio},
+		{Name: "dedup_8way.executions", Unit: "count", Better: benchdiff.Lower, Value: float64(dedupExecs)},
+		// Queue pressure under the bench workload: a depth or shed growth
+		// means admission started backing up. A small absolute floor keeps
+		// the empty-queue baseline from tripping on a 0 -> 1 blip.
+		{Name: "queue.max_depth", Unit: "count", Better: benchdiff.Lower, Value: float64(st3.QueueMax), Floor: 8},
+		{Name: "queue.shed", Unit: "count", Better: benchdiff.Lower, Value: float64(st3.Shed), Floor: 8},
+		{Name: "errors", Unit: "count", Better: benchdiff.Lower, Value: float64(nErrs)},
+		info("requests", "count", float64(requests)),
+		info("dedup_8way.clients", "count", float64(concurrency)),
+		info("duration_ms", "ms", durationMs),
+	}
+	if err := benchdiff.WriteFile(out, rows); err != nil {
 		return err
 	}
 	fmt.Printf("loadgen: wrote %s\n", out)
@@ -220,14 +215,14 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 	}
 
 	if check {
-		if doc.Dedup8Way.Executions != 1 {
-			return fmt.Errorf("check failed: dedup phase ran %d pipeline executions, want exactly 1", doc.Dedup8Way.Executions)
+		if dedupExecs != 1 {
+			return fmt.Errorf("check failed: dedup phase ran %d pipeline executions, want exactly 1", dedupExecs)
 		}
-		if doc.Dedup8Way.HitRatio < 0.8 {
-			return fmt.Errorf("check failed: dedup hit ratio %.3f < 0.8", doc.Dedup8Way.HitRatio)
+		if dedupHitRatio < 0.8 {
+			return fmt.Errorf("check failed: dedup hit ratio %.3f < 0.8", dedupHitRatio)
 		}
-		if doc.Errors > 0 {
-			return fmt.Errorf("check failed: %d request errors", doc.Errors)
+		if nErrs > 0 {
+			return fmt.Errorf("check failed: %d request errors", nErrs)
 		}
 		fmt.Println("loadgen: check passed (1 execution, hit ratio >= 0.8, no errors)")
 	}

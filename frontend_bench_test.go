@@ -2,115 +2,117 @@ package nassim_test
 
 // Front-end benchmarks (make bench-frontend): manual parsing, template
 // compilation, and empirical config matching — the §3/§4 half of the
-// pipeline this PR parallelized and de-allocated. With
-// NASSIM_FRONTEND_BENCH_OUT set, results are exported as
-// BENCH_frontend.json (schema nassim-frontend-bench/v1) including derived
-// seed-vs-new speedups, comparable across PRs like the other BENCH_*.json
-// documents. Every parse row runs the one production parser, so
-// parse_speedup_8v1 is same-code scaling from 1 to 8 workers (clamped to
-// GOMAXPROCS). The "seed" side of parse_validate_* pairs the 1-worker
-// parse with the naive validator oracle, so that speedup measures the
-// validator's algorithmic wins (memo tables, compiled-template cache,
-// candidate pruning) plus the worker pools, with the cores to use them.
+// pipeline. With NASSIM_BENCH_DIR set, results are exported as
+// BENCH_frontend.json including derived seed-vs-new speedups, comparable
+// across PRs like the other BENCH_*.json documents. Every parse row runs
+// the one production parser, so parse_speedup_8v1 is same-code scaling
+// from 1 to 8 workers (clamped to GOMAXPROCS). The "seed" side of
+// parse_validate_* pairs the 1-worker parse with the naive validator
+// oracle, so that speedup measures the validator's algorithmic wins (memo
+// tables, compiled-template cache, candidate pruning) plus the worker
+// pools, with the cores to use them.
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"sync"
 	"testing"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/cgm"
 	"nassim/internal/empirical"
 	"nassim/internal/pipeline"
 	"nassim/internal/telemetry"
 )
 
-type frontendBenchEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	N       int     `json:"n"`
-}
-
 var (
-	frontendBenchMu      sync.Mutex
-	frontendBenchEntries = map[string]frontendBenchEntry{}
-	frontendDerivedExtra = map[string]float64{}
+	frontendBenchMu   sync.Mutex
+	frontendBenchRows = map[string]benchdiff.Row{} // ns/op rows by benchmark name
+	frontendMeasured  = map[string]benchdiff.Row{} // recordFrontendRow rows by row name
 )
 
-// recordFrontendDerived adds a directly-measured derived figure (e.g. a
-// worker pool's busy-time utilization) to the export document. benchdiff
-// gates derived entries higher-better, except *_ns keys which are
-// timings and gate lower-better.
-func recordFrontendDerived(name string, v float64) {
-	if os.Getenv("NASSIM_FRONTEND_BENCH_OUT") == "" {
+// recordFrontendRow adds a directly-measured derived row (a worker pool's
+// busy-time utilization, the per-artifact decode time) to the export
+// document.
+func recordFrontendRow(r benchdiff.Row) {
+	if benchDir == "" {
 		return
 	}
 	frontendBenchMu.Lock()
 	defer frontendBenchMu.Unlock()
-	frontendDerivedExtra[name] = v
+	frontendMeasured[r.Name] = r
+}
+
+// utilizationRow is a worker pool's busy-time utilization: a collapse
+// means the fan-out exists but its workers starve.
+func utilizationRow(key string, util float64) benchdiff.Row {
+	return benchdiff.Row{Name: "derived." + key, Unit: "ratio", Better: benchdiff.Higher, Value: util}
+}
+
+// derivedNSRow is a derived timing; it gates like any other timing.
+func derivedNSRow(name string, ns float64) benchdiff.Row {
+	return benchdiff.Row{Name: "derived." + name, Unit: "ns", Better: benchdiff.Lower, Value: ns}
+}
+
+// speedupRow is a derived speedup ratio. Speedups swing with scheduler
+// load far more than the utilization figures do (a fan-out near 1.0x can
+// land either side of it run to run), so they take the wider speedup
+// gate and only a real collapse fails.
+func speedupRow(name string, x float64) benchdiff.Row {
+	return benchdiff.Row{Name: "derived." + name, Unit: "x", Better: benchdiff.Higher, Value: x,
+		Tol: benchdiff.SpeedupTolerance}
 }
 
 // exportFrontendBench records one benchmark result and rewrites the export
 // document, so partial runs (CI smoke: one iteration of one benchmark)
-// still produce valid JSON.
+// still produce a valid document.
 func exportFrontendBench(b *testing.B, name string) {
 	b.Helper()
-	out := os.Getenv("NASSIM_FRONTEND_BENCH_OUT")
-	if out == "" {
+	if benchDir == "" {
 		return
 	}
 	frontendBenchMu.Lock()
 	defer frontendBenchMu.Unlock()
-	frontendBenchEntries[name] = frontendBenchEntry{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N), N: b.N}
-	derived := map[string]float64{}
+	frontendBenchRows[name] = goBenchRow(b, name)
 	get := func(name string) (float64, bool) {
-		e, ok := frontendBenchEntries[name]
-		return e.NsPerOp, ok
+		r, ok := frontendBenchRows[name]
+		return r.Value, ok
+	}
+	rows := []benchdiff.Row{infoRow("setup.scale", "ratio", benchScale)}
+	for _, r := range frontendBenchRows {
+		rows = append(rows, r)
 	}
 	if w1, ok1 := get("ParseAll/workers1"); ok1 {
 		if w8, ok8 := get("ParseAll/workers8"); ok8 && w8 > 0 {
-			derived["parse_speedup_8v1"] = w1 / w8
+			rows = append(rows, speedupRow("parse_speedup_8v1", w1/w8))
 		}
 	}
 	if naive, okN := get("ValidateConfigs/naive"); okN {
 		if w8, ok8 := get("ValidateConfigs/workers8"); ok8 && w8 > 0 {
-			derived["validate_speedup_seed_vs_8"] = naive / w8
+			rows = append(rows, speedupRow("validate_speedup_seed_vs_8", naive/w8))
 		}
 	}
 	if p1, ok := get("ParseAll/workers1"); ok {
 		if vn, okN := get("ValidateConfigs/naive"); okN {
 			if p8, ok8 := get("ParseAll/workers8"); ok8 {
 				if v8, okV := get("ValidateConfigs/workers8"); okV && p8+v8 > 0 {
-					derived["parse_validate_seed_ns"] = p1 + vn
-					derived["parse_validate_new8_ns"] = p8 + v8
-					derived["parse_validate_speedup"] = (p1 + vn) / (p8 + v8)
+					rows = append(rows,
+						derivedNSRow("parse_validate_seed_ns", p1+vn),
+						derivedNSRow("parse_validate_new8_ns", p8+v8),
+						speedupRow("parse_validate_speedup", (p1+vn)/(p8+v8)))
 				}
 			}
 		}
 	}
 	if cold, okC := get("CompileTemplates/cold"); okC {
 		if warm, okW := get("CompileTemplates/warm"); okW && warm > 0 {
-			derived["compile_speedup_warm_vs_cold"] = cold / warm
+			rows = append(rows, speedupRow("compile_speedup_warm_vs_cold", cold/warm))
 		}
 	}
-	for k, v := range frontendDerivedExtra {
-		derived[k] = v
+	for _, r := range frontendMeasured {
+		rows = append(rows, r)
 	}
-	doc := struct {
-		Schema     string                        `json:"schema"`
-		Scale      float64                       `json:"scale"`
-		Benchmarks map[string]frontendBenchEntry `json:"benchmarks"`
-		Derived    map[string]float64            `json:"derived"`
-	}{"nassim-frontend-bench/v1", benchScale, frontendBenchEntries, derived}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRows(b, "frontend", rows)
 }
 
 // BenchmarkParseAll parses all four vendor manuals per op through the
@@ -150,7 +152,7 @@ func BenchmarkParseAll(b *testing.B) {
 			}
 			if util, ok := acc.Utilization(); ok {
 				b.ReportMetric(util, "utilization")
-				recordFrontendDerived(telemetry.UtilizationKey(telemetry.StageParse, variant.workers), util)
+				recordFrontendRow(utilizationRow(telemetry.UtilizationKey(telemetry.StageParse, variant.workers), util))
 			}
 			exportFrontendBench(b, "ParseAll/"+variant.name)
 		})
@@ -162,7 +164,7 @@ func BenchmarkParseAll(b *testing.B) {
 // artifact to disk; the measured loop then decodes the stored blobs
 // through the wired nassim-art binary codecs — no hashing, no disk I/O,
 // no stage execution. decode_ns_per_artifact is the derived per-blob
-// figure the benchdiff gate watches.
+// timing the benchdiff gate watches.
 func BenchmarkDecodeArtifact(b *testing.B) {
 	data := setup(b)
 	eng, err := pipeline.New(pipeline.Config{CacheDir: b.TempDir()})
@@ -204,7 +206,7 @@ func BenchmarkDecodeArtifact(b *testing.B) {
 	b.StopTimer()
 	perArtifact := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(arts))
 	b.ReportMetric(perArtifact, "ns/artifact")
-	recordFrontendDerived("decode_ns_per_artifact", perArtifact)
+	recordFrontendRow(derivedNSRow("decode_ns_per_artifact", perArtifact))
 	exportFrontendBench(b, "DecodeArtifact")
 }
 
@@ -292,7 +294,7 @@ func BenchmarkValidateConfigs(b *testing.B) {
 		})
 		if util, ok := acc.Utilization(); ok {
 			b.ReportMetric(util, "utilization")
-			recordFrontendDerived(telemetry.UtilizationKey("validate", 8), util)
+			recordFrontendRow(utilizationRow(telemetry.UtilizationKey("validate", 8), util))
 		}
 		exportFrontendBench(b, "ValidateConfigs/workers8")
 	})

@@ -1,62 +1,61 @@
 // Package benchdiff compares committed benchmark baselines against fresh
-// runs — the regression gate of the run observatory. It understands every
-// BENCH_*.json schema the repo emits and flattens each into a flat list of
-// directional metrics: lower-better timings (ns_per_op, stage wall time,
-// chaos latency percentiles), higher-better derived figures (parallel
-// speedups, cache ratios, worker utilization), and informational counts
-// that are reported when they move but never fail the gate. A metric is a
-// regression when it worsens past its tolerance — generous by default so
-// shared-runner noise does not fail builds, tightenable per invocation.
+// runs — the regression gate of the run observatory. Every BENCH_*.json
+// document is one nassim-bench/v2 row list, and every row carries its own
+// gate: whether lower or higher is better (or neither: informational rows
+// are reported when they move but never fail), an optional tolerance and
+// an optional absolute noise floor. The emitter that measures a figure
+// declares how it gates; this package only parses rows and compares each
+// baseline row with the current row of the same name. The default
+// tolerances are generous so shared-runner noise does not fail builds.
 package benchdiff
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
 )
 
-// Direction classifies how a metric's value relates to quality.
-type Direction int
+// Schema names the one document layout this package reads and writes.
+const Schema = "nassim-bench/v2"
 
+// Row directions: which way a row's value improves.
 const (
-	// LowerBetter marks timings and failure counts: growth is a regression.
-	LowerBetter Direction = iota
-	// HigherBetter marks speedups, ratios, utilization: shrink regresses.
-	HigherBetter
-	// Info metrics (sample sizes, fault counts) are reported when they
+	// Lower marks timings and failure counts: growth is a regression.
+	Lower = "lower"
+	// Higher marks speedups, ratios, utilization: shrink regresses.
+	Higher = "higher"
+	// Info rows (sample sizes, fault counts, setup) are reported when they
 	// change but never regress.
-	Info
+	Info = "info"
 )
 
-func (d Direction) String() string {
-	switch d {
-	case LowerBetter:
-		return "lower-better"
-	case HigherBetter:
-		return "higher-better"
-	default:
-		return "info"
-	}
-}
-
-// Metric is one flattened benchmark figure.
-type Metric struct {
-	Name  string
-	Value float64
-	Dir   Direction
-	// Tol, when > 0, is the schema-suggested tolerance for this metric:
-	// single-shot stage timings (one call, no iteration averaging) are far
-	// noisier than ns_per_op figures and get a wider gate. A caller's
-	// Tolerances.PerMetric entry still wins.
-	Tol float64
-	// Floor, when > 0, is an absolute noise floor in the metric's own unit:
-	// a change whose absolute delta stays under it never regresses, whatever
+// Row is one benchmark figure and its gate.
+type Row struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Value  float64 `json:"value"`
+	// Tol, when > 0, is the allowed fractional worsening for this row;
+	// otherwise the direction's default applies. Single-shot timings (one
+	// call, no iteration averaging) are far noisier than ns_per_op figures
+	// and declare a wider gate.
+	Tol float64 `json:"tol,omitempty"`
+	// Floor, when > 0, is an absolute noise floor in the row's own unit: a
+	// change whose absolute delta stays under it never regresses, whatever
 	// the ratio says. Millisecond-scale single-shot timings need this — a
 	// 2ms stage can "triple" on scheduler jitter alone.
-	Floor float64
+	Floor float64 `json:"floor,omitempty"`
 }
+
+// Default tolerances for rows that declare none.
+const (
+	DefaultLowerTolerance  = 0.50
+	DefaultHigherTolerance = 0.25
+)
 
 // SingleShotTolerance is the suggested tolerance for timings measured from
 // one execution: they may double before the gate trips.
@@ -82,363 +81,103 @@ const ShortBenchNS = 1e9
 // carry no signal. A genuine algorithmic regression in such a stage clears
 // the floor easily.
 const (
-	SingleShotFloorNS      = 25e6  // stage avg_ns / wall_ns documents
-	SingleShotFloorSeconds = 0.025 // telemetry *_seconds histogram metrics
+	SingleShotFloorNS      = 25e6  // stage avg_ns / wall_ns rows
+	SingleShotFloorSeconds = 0.025 // telemetry *_seconds histogram rows
+	SingleShotFloorMs      = 25.0  // millisecond-valued timing rows
 )
 
-// Schemas this package understands.
-const (
-	SchemaTelemetry = "nassim-telemetry-bench/v1"
-	SchemaPipeline  = "nassim-pipeline-bench/v1"
-	SchemaMapper    = "nassim-mapper-bench/v1"
-	SchemaFrontend  = "nassim-frontend-bench/v1"
-	SchemaChaos     = "nassim-chaos-bench/v1"
-	SchemaReconcile = "nassim-reconcile-bench/v1"
-	SchemaServe     = "nassim-serve-bench/v1"
-)
+// GoBench is the row of one Go benchmark's ns/op over n iterations. A
+// benchmark whose total measured time is under ShortBenchNS gates at
+// SingleShotTolerance.
+func GoBench(name string, nsPerOp float64, n int) Row {
+	r := Row{Name: "bench." + name + ".ns_per_op", Unit: "ns", Better: Lower, Value: nsPerOp}
+	if n > 0 && nsPerOp*float64(n) < ShortBenchNS {
+		r.Tol = SingleShotTolerance
+	}
+	return r
+}
 
-// Flatten parses one BENCH_*.json document and flattens it into
-// directional metrics. The document's "schema" field selects the layout.
-func Flatten(doc []byte) (string, []Metric, error) {
-	var head struct {
+// WriteFile writes rows as a nassim-bench/v2 document, sorted by name,
+// one row per line so baseline diffs stay readable.
+func WriteFile(path string, rows []Row) error {
+	rows = sortedRows(rows)
+	if err := check(rows); err != nil {
+		return err
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"schema": %q, "rows": [`, Schema)
+	for i, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("benchdiff: row %s: %w", r.Name, err)
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n  ")
+		b.Write(line)
+	}
+	b.WriteString("\n]}\n")
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+// Parse reads a nassim-bench/v2 document and returns its rows sorted by
+// name. It rejects any other schema, an unknown direction and a repeated
+// row name.
+func Parse(doc []byte) ([]Row, error) {
+	var d struct {
 		Schema string `json:"schema"`
+		Rows   []Row  `json:"rows"`
 	}
-	if err := json.Unmarshal(doc, &head); err != nil {
-		return "", nil, fmt.Errorf("benchdiff: not a JSON document: %w", err)
+	if err := json.Unmarshal(doc, &d); err != nil {
+		return nil, fmt.Errorf("benchdiff: not a JSON document: %w", err)
 	}
-	var ms []Metric
-	var err error
-	switch head.Schema {
-	case SchemaTelemetry:
-		ms, err = flattenTelemetry(doc)
-	case SchemaPipeline:
-		ms, err = flattenPipeline(doc)
-	case SchemaMapper:
-		ms, err = flattenBenchmarks(doc, false)
-	case SchemaFrontend:
-		ms, err = flattenBenchmarks(doc, true)
-	case SchemaChaos:
-		ms, err = flattenChaos(doc)
-	case SchemaReconcile:
-		ms, err = flattenReconcile(doc)
-	case SchemaServe:
-		ms, err = flattenServe(doc)
-	case "":
-		return "", nil, fmt.Errorf("benchdiff: document has no schema field")
+	if d.Schema != Schema {
+		return nil, fmt.Errorf("benchdiff: schema %q, want %q", d.Schema, Schema)
+	}
+	rows := sortedRows(d.Rows)
+	return rows, check(rows)
+}
+
+func sortedRows(rows []Row) []Row {
+	rows = append([]Row(nil), rows...)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	return rows
+}
+
+// check validates name-sorted rows.
+func check(rows []Row) error {
+	for i, r := range rows {
+		switch r.Better {
+		case Lower, Higher, Info:
+		default:
+			return fmt.Errorf("benchdiff: row %s: unknown better %q", r.Name, r.Better)
+		}
+		if i > 0 && rows[i-1].Name == r.Name {
+			return fmt.Errorf("benchdiff: row %s repeated", r.Name)
+		}
+	}
+	return nil
+}
+
+// tolerance is the fractional worsening a row may show before it regresses.
+func (r Row) tolerance() float64 {
+	switch {
+	case r.Tol > 0:
+		return r.Tol
+	case r.Better == Higher:
+		return DefaultHigherTolerance
 	default:
-		return "", nil, fmt.Errorf("benchdiff: unknown schema %q", head.Schema)
+		return DefaultLowerTolerance
 	}
-	if err != nil {
-		return "", nil, err
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	return head.Schema, ms, nil
 }
 
-type stageRec struct {
-	Name    string `json:"name"`
-	Calls   int    `json:"calls"`
-	TotalNS int64  `json:"total_ns"`
-	AvgNS   int64  `json:"avg_ns"`
-}
-
-func stageMetrics(stages []stageRec) []Metric {
-	var ms []Metric
-	for _, s := range stages {
-		// Stage tables come from one pipeline run, not b.N iterations: use
-		// the single-shot gate.
-		ms = append(ms,
-			Metric{Name: "stage." + s.Name + ".avg_ns", Value: float64(s.AvgNS), Dir: LowerBetter,
-				Tol: SingleShotTolerance, Floor: SingleShotFloorNS},
-			Metric{Name: "stage." + s.Name + ".calls", Value: float64(s.Calls), Dir: Info},
-		)
-	}
-	return ms
-}
-
-func flattenTelemetry(doc []byte) ([]Metric, error) {
-	var d struct {
-		Stages  []stageRec         `json:"stages"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	ms := stageMetrics(d.Stages)
-	for k, v := range d.Metrics {
-		// The registry snapshot mixes counters and duration histograms;
-		// duration sums/averages gate as timings, the rest is informational.
-		dir := Info
-		tol, floor := 0.0, 0.0
-		if strings.Contains(k, "_seconds") &&
-			(strings.HasSuffix(metricBase(k), "_sum") || strings.HasSuffix(metricBase(k), "_avg")) {
-			dir = LowerBetter
-			tol = SingleShotTolerance // one run's histogram, not an average over b.N
-			floor = SingleShotFloorSeconds
-		}
-		ms = append(ms, Metric{Name: "metric." + k, Value: v, Dir: dir, Tol: tol, Floor: floor})
-	}
-	return ms, nil
-}
-
-// metricBase strips a flattened metric key's {labels} suffix.
-func metricBase(k string) string {
-	if i := strings.IndexByte(k, '{'); i >= 0 {
-		return k[:i]
-	}
-	return k
-}
-
-func flattenPipeline(doc []byte) ([]Metric, error) {
-	var d struct {
-		Jobs   int        `json:"jobs"`
-		WallNS int64      `json:"wall_ns"`
-		Stages []stageRec `json:"stages"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	ms := []Metric{
-		{Name: "wall_ns", Value: float64(d.WallNS), Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorNS},
-		{Name: "jobs", Value: float64(d.Jobs), Dir: Info},
-	}
-	return append(ms, stageMetrics(d.Stages)...), nil
-}
-
-// flattenBenchmarks handles the mapper and frontend documents: a
-// benchmarks map of ns_per_op entries, plus (frontend) a derived map of
-// higher-better figures.
-func flattenBenchmarks(doc []byte, derived bool) ([]Metric, error) {
-	var d struct {
-		Benchmarks map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-			N       int     `json:"n"`
-		} `json:"benchmarks"`
-		Derived map[string]float64 `json:"derived"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	var ms []Metric
-	for k, v := range d.Benchmarks {
-		tol := 0.0
-		if v.N > 0 && v.NsPerOp*float64(v.N) < ShortBenchNS {
-			tol = SingleShotTolerance
-		}
-		ms = append(ms, Metric{Name: "bench." + k + ".ns_per_op", Value: v.NsPerOp, Dir: LowerBetter, Tol: tol})
-	}
-	if derived {
-		for k, v := range d.Derived {
-			// Speedup ratios swing with scheduler load far more than the
-			// utilization and cache-ratio figures do (a fan-out near 1.0x —
-			// ROADMAP item 4 — can land either side of it run to run);
-			// give them the wider speedup gate so only a real collapse fails.
-			// Keys ending in _ns or _ns_per_* are derived timings
-			// (decode_ns_per_artifact, the parse+validate wall figures):
-			// those gate lower-better like any other timing.
-			tol := 0.0
-			dir := HigherBetter
-			if strings.Contains(k, "speedup") {
-				tol = SpeedupTolerance
-			}
-			if strings.HasSuffix(k, "_ns") || strings.Contains(k, "_ns_per_") {
-				dir = LowerBetter
-			}
-			ms = append(ms, Metric{Name: "derived." + k, Value: v, Dir: dir, Tol: tol})
-		}
-	}
-	return ms, nil
-}
-
-func flattenChaos(doc []byte) ([]Metric, error) {
-	var d struct {
-		N       int     `json:"n"`
-		P50Ms   float64 `json:"exec_p50_ms"`
-		P99Ms   float64 `json:"exec_p99_ms"`
-		MeanMs  float64 `json:"exec_mean_ms"`
-		Retries int64   `json:"retries"`
-		Faults  struct {
-			Conns   int64 `json:"connections"`
-			Dropped int64 `json:"dropped"`
-			Resets  int64 `json:"resets"`
-			Spikes  int64 `json:"latency_spikes"`
-		} `json:"faults_delivered"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		{Name: "exec_p50_ms", Value: d.P50Ms, Dir: LowerBetter},
-		{Name: "exec_p99_ms", Value: d.P99Ms, Dir: LowerBetter},
-		{Name: "exec_mean_ms", Value: d.MeanMs, Dir: LowerBetter},
-		{Name: "retries", Value: float64(d.Retries), Dir: LowerBetter},
-		{Name: "n", Value: float64(d.N), Dir: Info},
-		{Name: "faults.connections", Value: float64(d.Faults.Conns), Dir: Info},
-		{Name: "faults.dropped", Value: float64(d.Faults.Dropped), Dir: Info},
-		{Name: "faults.resets", Value: float64(d.Faults.Resets), Dir: Info},
-		{Name: "faults.latency_spikes", Value: float64(d.Faults.Spikes), Dir: Info},
-	}, nil
-}
-
-// SingleShotFloorMs is SingleShotFloorNS in milliseconds, for documents
-// whose timings are already millisecond-valued.
-const SingleShotFloorMs = 25.0
-
-func flattenReconcile(doc []byte) ([]Metric, error) {
-	var d struct {
-		N             int     `json:"n"`
-		Devices       int     `json:"devices"`
-		CycleP50Ms    float64 `json:"cycle_p50_ms"`
-		CycleMeanMs   float64 `json:"cycle_mean_ms"`
-		ProbesPerSec  float64 `json:"probes_per_sec"`
-		ProbeP50Ms    float64 `json:"probe_p50_ms"`
-		ProbeP99Ms    float64 `json:"probe_p99_ms"`
-		CacheHitRatio float64 `json:"cache_hit_ratio"`
-		DriftActions  int     `json:"drift_actions"`
-		Health        struct {
-			Converged   int `json:"converged"`
-			Drifted     int `json:"drifted"`
-			Degraded    int `json:"degraded"`
-			Unreachable int `json:"unreachable"`
-		} `json:"health"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		// Cycle and probe timings come from a handful of cycles, so they
-		// gate like single-shot measurements with a millisecond floor.
-		{Name: "cycle_p50_ms", Value: d.CycleP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "cycle_mean_ms", Value: d.CycleMeanMs, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probe_p50_ms", Value: d.ProbeP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probe_p99_ms", Value: d.ProbeP99Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probes_per_sec", Value: d.ProbesPerSec, Dir: HigherBetter,
-			Tol: SpeedupTolerance},
-		// The cache economy and fleet health are seeded and deterministic:
-		// any unreachable device is a robustness regression, and a cache-hit
-		// collapse means revalidation stopped being incremental.
-		{Name: "cache_hit_ratio", Value: d.CacheHitRatio, Dir: HigherBetter},
-		{Name: "health.unreachable", Value: float64(d.Health.Unreachable), Dir: LowerBetter},
-		{Name: "n", Value: float64(d.N), Dir: Info},
-		{Name: "devices", Value: float64(d.Devices), Dir: Info},
-		{Name: "drift_actions", Value: float64(d.DriftActions), Dir: Info},
-		{Name: "health.converged", Value: float64(d.Health.Converged), Dir: Info},
-		{Name: "health.drifted", Value: float64(d.Health.Drifted), Dir: Info},
-		{Name: "health.degraded", Value: float64(d.Health.Degraded), Dir: Info},
-	}, nil
-}
-
-func flattenServe(doc []byte) ([]Metric, error) {
-	var d struct {
-		Requests      int     `json:"requests"`
-		Errors        int     `json:"errors"`
-		DurationMs    float64 `json:"duration_ms"`
-		RPS           float64 `json:"rps"`
-		LatencyP50Ms  float64 `json:"latency_p50_ms"`
-		LatencyP99Ms  float64 `json:"latency_p99_ms"`
-		LatencyMeanMs float64 `json:"latency_mean_ms"`
-		DedupHitRatio float64 `json:"dedup_hit_ratio"`
-		Dedup8Way     struct {
-			Clients    int     `json:"clients"`
-			Executions float64 `json:"executions"`
-			HitRatio   float64 `json:"hit_ratio"`
-		} `json:"dedup_8way"`
-		Queue struct {
-			MaxDepth float64 `json:"max_depth"`
-			Shed     float64 `json:"shed"`
-		} `json:"queue"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		// Serving latency is measured per request but over a short warm
-		// loop on a shared runner, so it gates like a single-shot timing
-		// with a millisecond floor.
-		{Name: "latency_p50_ms", Value: d.LatencyP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "latency_p99_ms", Value: d.LatencyP99Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "latency_mean_ms", Value: d.LatencyMeanMs, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "rps", Value: d.RPS, Dir: HigherBetter, Tol: SpeedupTolerance},
-		// The dedup economy is the tentpole invariant: the warm phase must
-		// stay near-fully deduplicated and the 8-way fan-in must coalesce
-		// to one execution. These are deterministic, not timing-noisy.
-		{Name: "dedup_hit_ratio", Value: d.DedupHitRatio, Dir: HigherBetter},
-		{Name: "dedup_8way.hit_ratio", Value: d.Dedup8Way.HitRatio, Dir: HigherBetter},
-		{Name: "dedup_8way.executions", Value: d.Dedup8Way.Executions, Dir: LowerBetter},
-		// Queue pressure under the bench workload: a depth or shed growth
-		// means admission started backing up. A small absolute floor keeps
-		// the empty-queue baseline from tripping on a 0 -> 1 blip.
-		{Name: "queue.max_depth", Value: d.Queue.MaxDepth, Dir: LowerBetter, Floor: 8},
-		{Name: "queue.shed", Value: d.Queue.Shed, Dir: LowerBetter, Floor: 8},
-		{Name: "errors", Value: float64(d.Errors), Dir: LowerBetter},
-		{Name: "requests", Value: float64(d.Requests), Dir: Info},
-		{Name: "dedup_8way.clients", Value: float64(d.Dedup8Way.Clients), Dir: Info},
-		{Name: "duration_ms", Value: d.DurationMs, Dir: Info},
-	}, nil
-}
-
-// Tolerances sets the allowed fractional worsening before a metric
-// regresses. Defaults are deliberately loose: CI timing on shared runners
-// is noisy, and a gate that cries wolf gets deleted.
-type Tolerances struct {
-	// Timing is the allowed fractional increase of a lower-better metric
-	// (0.5 = may grow 50%). <= 0 takes the default.
-	Timing float64
-	// Derived is the allowed fractional decrease of a higher-better metric.
-	// <= 0 takes the default.
-	Derived float64
-	// PerMetric overrides the tolerance for specific metric names.
-	PerMetric map[string]float64
-}
-
-// Default tolerances.
-const (
-	DefaultTimingTolerance  = 0.50
-	DefaultDerivedTolerance = 0.25
-)
-
-func (t Tolerances) timing() float64 {
-	if t.Timing > 0 {
-		return t.Timing
-	}
-	return DefaultTimingTolerance
-}
-
-func (t Tolerances) derived() float64 {
-	if t.Derived > 0 {
-		return t.Derived
-	}
-	return DefaultDerivedTolerance
-}
-
-func (t Tolerances) forMetric(m Metric) float64 {
-	if v, ok := t.PerMetric[m.Name]; ok {
-		return v
-	}
-	if m.Tol > 0 {
-		return m.Tol
-	}
-	if m.Dir == HigherBetter {
-		return t.derived()
-	}
-	return t.timing()
-}
-
-// Delta is one metric's baseline-vs-current comparison.
+// Delta is one row's baseline-vs-current comparison.
 type Delta struct {
-	Name      string    `json:"name"`
-	Dir       Direction `json:"-"`
-	Direction string    `json:"direction"`
-	Base      float64   `json:"base"`
-	Cur       float64   `json:"current"`
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Base   float64 `json:"base"`
+	Cur    float64 `json:"current"`
 	// Change is the signed fractional change, (cur-base)/base; +Inf when
 	// the baseline is zero and the current value is not.
 	Change float64 `json:"change"`
@@ -449,10 +188,9 @@ type Delta struct {
 
 // Result is one document pair's comparison.
 type Result struct {
-	Schema string  `json:"schema"`
 	Deltas []Delta `json:"deltas"`
-	// MissingCurrent lists baseline metrics absent from the current run;
-	// AddedCurrent the reverse. Missing metrics count as regressions — a
+	// MissingCurrent lists baseline rows absent from the current run;
+	// AddedCurrent the reverse. Missing rows count as regressions — a
 	// benchmark silently dropped is exactly what a gate must catch.
 	MissingCurrent []string `json:"missing_current,omitempty"`
 	AddedCurrent   []string `json:"added_current,omitempty"`
@@ -474,84 +212,76 @@ func (r *Result) Failed() bool {
 	return len(r.MissingCurrent) > 0 || len(r.Regressions()) > 0
 }
 
-// Compare flattens both documents (which must share a schema) and gates
-// every baseline metric against its current value.
-func Compare(baseline, current []byte, tol Tolerances) (*Result, error) {
-	bs, bms, err := Flatten(baseline)
+// Compare parses both documents and gates every baseline row against the
+// current row of the same name, at the baseline row's direction,
+// tolerance and floor.
+func Compare(baseline, current []byte) (*Result, error) {
+	brs, err := Parse(baseline)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	cs, cms, err := Flatten(current)
+	crs, err := Parse(current)
 	if err != nil {
 		return nil, fmt.Errorf("current: %w", err)
 	}
-	if bs != cs {
-		return nil, fmt.Errorf("benchdiff: schema mismatch: baseline %q vs current %q", bs, cs)
+	cur := make(map[string]Row, len(crs))
+	for _, r := range crs {
+		cur[r.Name] = r
 	}
-	cur := make(map[string]Metric, len(cms))
-	for _, m := range cms {
-		cur[m.Name] = m
-	}
-	res := &Result{Schema: bs}
-	seen := map[string]bool{}
-	for _, bm := range bms {
-		seen[bm.Name] = true
-		cm, ok := cur[bm.Name]
+	res := &Result{}
+	seen := make(map[string]bool, len(brs))
+	for _, br := range brs {
+		seen[br.Name] = true
+		cr, ok := cur[br.Name]
 		if !ok {
-			res.MissingCurrent = append(res.MissingCurrent, bm.Name)
+			res.MissingCurrent = append(res.MissingCurrent, br.Name)
 			continue
 		}
-		d := Delta{Name: bm.Name, Dir: bm.Dir, Direction: bm.Dir.String(),
-			Base: bm.Value, Cur: cm.Value,
-			Threshold: tol.forMetric(bm)}
+		d := Delta{Name: br.Name, Better: br.Better, Base: br.Value, Cur: cr.Value,
+			Threshold: br.tolerance()}
 		switch {
-		case bm.Value == 0 && cm.Value == 0:
+		case br.Value == 0 && cr.Value == 0:
 			d.Change = 0
-		case bm.Value == 0:
+		case br.Value == 0:
 			d.Change = math.Inf(1)
 		default:
-			d.Change = (cm.Value - bm.Value) / math.Abs(bm.Value)
+			d.Change = (cr.Value - br.Value) / math.Abs(br.Value)
 		}
-		switch bm.Dir {
-		case LowerBetter:
+		switch br.Better {
+		case Lower:
 			d.Regressed = d.Change > d.Threshold
-		case HigherBetter:
+		case Higher:
 			d.Regressed = d.Change < -d.Threshold
 		}
-		if d.Regressed && bm.Floor > 0 && math.Abs(cm.Value-bm.Value) < bm.Floor {
+		if d.Regressed && br.Floor > 0 && math.Abs(cr.Value-br.Value) < br.Floor {
 			// Under the absolute noise floor the ratio is jitter, not signal.
 			d.Regressed = false
 		}
 		res.Deltas = append(res.Deltas, d)
 	}
-	for _, cm := range cms {
-		if !seen[cm.Name] {
-			res.AddedCurrent = append(res.AddedCurrent, cm.Name)
+	for _, cr := range crs {
+		if !seen[cr.Name] {
+			res.AddedCurrent = append(res.AddedCurrent, cr.Name)
 		}
 	}
 	return res, nil
 }
 
 // Table renders the result as an aligned human-readable table; changed or
-// regressed metrics first, unchanged informational rows summarized.
+// regressed rows first, unchanged rows summarized.
 func (r *Result) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Schema)
 	fmt.Fprintf(&b, "  %-52s %14s %14s %9s  %s\n", "metric", "baseline", "current", "change", "verdict")
 	quiet := 0
 	for _, d := range r.Deltas {
 		verdict := "ok"
 		if d.Regressed {
-			verdict = fmt.Sprintf("REGRESSED (>%g%% %s)", 100*d.Threshold, worseWord(d.Dir))
-		} else if d.Dir == Info {
-			if d.Change == 0 {
-				quiet++
-				continue
-			}
-			verdict = "info"
+			verdict = fmt.Sprintf("REGRESSED (>%g%% %s)", 100*d.Threshold, worseWord(d.Better))
 		} else if d.Change == 0 {
 			quiet++
 			continue
+		} else if d.Better == Info {
+			verdict = "info"
 		}
 		fmt.Fprintf(&b, "  %-52s %14s %14s %+8.1f%%  %s\n",
 			d.Name, fmtVal(d.Base), fmtVal(d.Cur), 100*d.Change, verdict)
@@ -568,8 +298,8 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-func worseWord(d Direction) string {
-	if d == HigherBetter {
+func worseWord(better string) string {
+	if better == Higher {
 		return "drop"
 	}
 	return "growth"

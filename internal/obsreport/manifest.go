@@ -53,9 +53,6 @@ type StageOutcome struct {
 	Stage string `json:"stage"`
 	// Outcome is "run" or "cache_hit".
 	Outcome string `json:"outcome"`
-	// Attempts counts execution attempts (0 for cache hits, 1 unless the
-	// retry policy re-ran the stage).
-	Attempts int `json:"attempts,omitempty"`
 	// Degraded carries the machine-readable degradation reason when the
 	// stage produced a partial artifact under failure.
 	Degraded string `json:"degraded,omitempty"`
@@ -399,9 +396,7 @@ func (c *Collector) Build(info RunInfo, results []*pipeline.JobResult) *Manifest
 			switch {
 			case ran[st]:
 				rec.Stages = append(rec.Stages, StageOutcome{
-					Stage: name, Outcome: "run",
-					Attempts: jr.StageAttempts[st],
-					Degraded: jr.DegradedStages[st],
+					Stage: name, Outcome: "run", Degraded: jr.DegradedStages[st],
 				})
 				a := cache[name]
 				if a == nil {

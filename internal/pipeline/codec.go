@@ -1,9 +1,7 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"nassim/internal/artifact"
@@ -28,24 +26,6 @@ type Codec[T any] interface {
 	Encode(T) ([]byte, error)
 	Decode([]byte) (T, error)
 }
-
-// Decode accounting: the warm-path acceptance test pins "zero JSON
-// unmarshaling of cached artifacts" by counting reference-codec decodes,
-// and the run manifest reports how many bytes the binary path mapped.
-var (
-	refDecodes      atomic.Int64
-	binaryDecodes   atomic.Int64
-	binaryDecodeErr atomic.Int64
-)
-
-// ReferenceCodecDecodes returns how many times a JSON reference codec
-// has decoded an artifact since process start. The engine's warm path
-// must never move this counter.
-func ReferenceCodecDecodes() int64 { return refDecodes.Load() }
-
-// BinaryCodecDecodes returns how many artifacts the nassim-art binary
-// codecs have decoded since process start.
-func BinaryCodecDecodes() int64 { return binaryDecodes.Load() }
 
 // --- parse artifact ---------------------------------------------------------
 
@@ -103,27 +83,7 @@ func (parseBinaryCodec) Decode(data []byte) (*parseArtifact, error) {
 	if a.Completeness, err = corpus.DecodeReportBinary(rd); err != nil {
 		return nil, err
 	}
-	binaryDecodes.Add(1)
 	return a, nil
-}
-
-// parseJSONCodec is the retained reference codec: the PR-2 JSON layout,
-// used by the round-trip equality suite as the canonical rendering the
-// binary path must reproduce. The engine does not run it on the warm
-// path — the counter proves that.
-type parseJSONCodec struct{}
-
-func (parseJSONCodec) Version() string { return "parse.v1.json" }
-
-func (parseJSONCodec) Encode(a *parseArtifact) ([]byte, error) { return json.Marshal(a) }
-
-func (parseJSONCodec) Decode(data []byte) (*parseArtifact, error) {
-	refDecodes.Add(1)
-	var a parseArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, err
-	}
-	return &a, nil
 }
 
 // --- derive artifact --------------------------------------------------------
@@ -205,39 +165,10 @@ func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	binaryDecodes.Add(1)
 	return a, nil
 }
 
-// deriveJSONCodec is the retained PR-2 reference layout for the derive
-// artifact (VDM via vdm.Marshal, report alongside).
-type deriveJSONCodec struct{}
-
-func (deriveJSONCodec) Version() string { return "derive.v1.json" }
-
-func (deriveJSONCodec) Encode(a *deriveArtifact) ([]byte, error) {
-	raw, err := a.VDM.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(&persistedDerive{VDM: raw, Report: a.Report})
-}
-
-func (deriveJSONCodec) Decode(data []byte) (*deriveArtifact, error) {
-	refDecodes.Add(1)
-	var p persistedDerive
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, err
-	}
-	v, err := vdm.Unmarshal(p.VDM, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &deriveArtifact{VDM: v, Report: p.Report}, nil
-}
-
-// The codecs the engine wires into the stage graph: binary by default,
-// JSON kept as the executable reference.
+// The codecs the engine wires into the stage graph.
 var (
 	parseCodec  Codec[*parseArtifact]  = parseBinaryCodec{}
 	deriveCodec Codec[*deriveArtifact] = deriveBinaryCodec{}
@@ -303,7 +234,6 @@ func (jr *JobResult) noteDiskLoad(stage Stage, version string, bytes int) {
 // noteDiskLoadError records a rejected disk artifact (truncated, corrupt,
 // wrong version): the stage treats it as a cache miss and re-runs.
 func noteDiskLoadError(stage Stage, version string, err error) {
-	binaryDecodeErr.Add(1)
 	telemetry.GetCounter("nassim_artifact_decode_errors_total", "codec", version).Inc()
 	telemetry.Logger("pipeline").Warn("disk artifact rejected; treating as cache miss",
 		"stage", string(stage), "codec", version, "err", fmt.Sprint(err))

@@ -13,7 +13,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -57,7 +56,6 @@ func init() {
 	reg.SetHelp("nassim_pipeline_stage_total", "Pipeline stage executions, by stage and outcome (run, cache_hit).")
 	reg.SetHelp("nassim_pipeline_stage_seconds", "Wall time of executed (non-cached) pipeline stages.")
 	reg.SetHelp("nassim_pipeline_jobs_total", "Per-vendor pipeline jobs, by result (ok, error).")
-	reg.SetHelp("nassim_pipeline_stage_retries_total", "Pipeline stage re-executions after a failed attempt, by stage.")
 	reg.SetHelp("nassim_pipeline_degraded_stages_total", "Pipeline stages that produced a degraded artifact, by stage.")
 }
 
@@ -71,14 +69,6 @@ type Degradable interface {
 	// DegradedArtifact returns a machine-readable reason and whether the
 	// artifact is degraded.
 	DegradedArtifact() (reason string, degraded bool)
-}
-
-// StageRetry is the per-stage retry policy for failed stage executions.
-type StageRetry struct {
-	// Attempts is the total number of executions allowed (minimum 1).
-	Attempts int
-	// Backoff is the fixed wait between attempts.
-	Backoff time.Duration
 }
 
 // Correction is one expert fix of a flagged CLI template (§5.1).
@@ -205,9 +195,6 @@ type JobResult struct {
 	// StageElapsed is the wall time of each executed stage (cache-satisfied
 	// stages have no entry: skipped work is skipped).
 	StageElapsed map[Stage]time.Duration
-	// StageAttempts counts the execution attempts each executed stage used
-	// (1 unless the engine's retry policy re-ran it).
-	StageAttempts map[Stage]int
 	// Pools reports the intra-stage worker-pool utilization of executed
 	// stages that fan out (Parse over manual pages, EmpiricalValidate over
 	// config files).
@@ -293,15 +280,9 @@ type Config struct {
 	// CacheDir, when set, mirrors the expensive artifacts (parse output,
 	// derived VDM) on disk so later processes can warm-start.
 	CacheDir string
-	// StageRetries re-executes listed stages after a failed attempt.
-	// Cancellation is never retried, and a degraded artifact is a success
-	// (the stage absorbed its failures); retries fire only on hard stage
-	// errors, e.g. live testing against a device whose transport keeps
-	// failing with degradation disabled.
-	StageRetries map[Stage]StageRetry
 	// StageHook, when set, observes actual stage executions (cache hits
-	// never fire it). It is called immediately before each execution
-	// attempt; the returned func — which may be nil — runs when the attempt
+	// never fire it). It is called immediately before each execution;
+	// the returned func — which may be nil — runs when the execution
 	// finishes. It is the one way to observe a stage from outside: stage
 	// timers, the obsreport flight recorder's pprof captures, and the
 	// serving daemon's progress stream all attach here.
@@ -313,19 +294,12 @@ type Engine struct {
 	store   Store
 	disk    *DiskStore
 	workers int
-	retries map[Stage]StageRetry
 	hook    func(vendor string, stage Stage) func()
 }
 
 // New builds an engine from a config.
 func New(cfg Config) (*Engine, error) {
 	e := &Engine{store: cfg.Store, workers: cfg.Workers, hook: cfg.StageHook}
-	if len(cfg.StageRetries) > 0 {
-		e.retries = make(map[Stage]StageRetry, len(cfg.StageRetries))
-		for k, v := range cfg.StageRetries {
-			e.retries[k] = v
-		}
-	}
 	if e.store == nil {
 		e.store = NewMemStore()
 	}
@@ -401,21 +375,14 @@ type deriveArtifact struct {
 	Report *hierarchy.Report
 }
 
-type persistedDerive struct {
-	VDM    json.RawMessage
-	Report *hierarchy.Report
-}
-
 // runStage executes one stage unless its artifact is already cached. The
 // wrapper checks the context at the stage boundary, consults the memory
 // store then the disk mirror, and on a live run brackets fn with the
 // stage hook and a telemetry span, observes the stage histogram, and
-// records the artifact. Failed attempts are re-executed per the engine's
-// per-stage retry policy (cancellation is never retried). An artifact
-// produced under a cancelled context is discarded, and a Degradable
-// artifact reporting degradation is returned but never cached — the next
-// run with the same key re-executes the stage against a
-// hopefully-recovered device.
+// records the artifact. An artifact produced under a cancelled context is
+// discarded, and a Degradable artifact reporting degradation is returned
+// but never cached — the next run with the same key re-executes the stage
+// against a hopefully-recovered device.
 func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	key string, disk Codec[T], fn func(context.Context) (T, error)) (T, error) {
 	var zero T
@@ -442,56 +409,27 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 			}
 		}
 	}
-	attempts := e.retries[stage].Attempts
-	if attempts < 1 {
-		attempts = 1
+	var unhook func()
+	if e.hook != nil {
+		unhook = e.hook(jr.Vendor, stage)
 	}
-	var t T
-	var err error
-	var elapsed time.Duration
-	used := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			telemetry.GetCounter("nassim_pipeline_stage_retries_total", "stage", string(stage)).Inc()
-			if backoff := e.retries[stage].Backoff; backoff > 0 {
-				select {
-				case <-ctx.Done():
-				case <-time.After(backoff):
-				}
-			}
-		}
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		used++
-		var unhook func()
-		if e.hook != nil {
-			unhook = e.hook(jr.Vendor, stage)
-		}
-		sctx, span := telemetry.Span(ctx, "pipeline."+string(stage), "vendor", jr.Vendor)
-		start := time.Now()
-		t, err = fn(sctx)
-		elapsed = time.Since(start)
-		span.End()
-		if unhook != nil {
-			unhook()
-		}
-		if err == nil {
-			// Stages return partial output when cancelled mid-loop; surface
-			// the cancellation instead of caching a truncated artifact.
-			err = ctx.Err()
-		}
-		if err == nil {
-			break
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			break
-		}
+	sctx, span := telemetry.Span(ctx, "pipeline."+string(stage), "vendor", jr.Vendor)
+	start := time.Now()
+	t, err := fn(sctx)
+	elapsed := time.Since(start)
+	span.End()
+	if unhook != nil {
+		unhook()
+	}
+	if err == nil {
+		// Stages return partial output when cancelled mid-loop; surface
+		// the cancellation instead of caching a truncated artifact.
+		err = ctx.Err()
 	}
 	if err != nil {
 		return zero, fmt.Errorf("pipeline: %s/%s: %w", jr.Vendor, stage, err)
 	}
-	e.noteRun(jr, stage, elapsed, used)
+	e.noteRun(jr, stage, elapsed)
 	if d, ok := any(t).(Degradable); ok {
 		if reason, degraded := d.DegradedArtifact(); degraded {
 			if jr.DegradedStages == nil {
@@ -513,14 +451,12 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	return t, nil
 }
 
-func (e *Engine) noteRun(jr *JobResult, stage Stage, elapsed time.Duration, attempts int) {
+func (e *Engine) noteRun(jr *JobResult, stage Stage, elapsed time.Duration) {
 	jr.Ran = append(jr.Ran, stage)
 	if jr.StageElapsed == nil {
 		jr.StageElapsed = map[Stage]time.Duration{}
-		jr.StageAttempts = map[Stage]int{}
 	}
 	jr.StageElapsed[stage] = elapsed
-	jr.StageAttempts[stage] = attempts
 	telemetry.GetCounter("nassim_pipeline_stage_total", "stage", string(stage), "outcome", "run").Inc()
 	telemetry.GetHistogram("nassim_pipeline_stage_seconds", nil, "stage", string(stage)).ObserveDuration(elapsed)
 }

@@ -264,20 +264,14 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// switchExec injects transport failures: every call while broken, plus
-// the first failFirst calls regardless.
+// switchExec injects a transport failure on every call while broken.
 type switchExec struct {
-	inner     empirical.Executor
-	broken    bool
-	failFirst int
-	calls     int
-	fails     int
+	inner  empirical.Executor
+	broken bool
 }
 
 func (s *switchExec) Exec(line string) (device.Response, error) {
-	s.calls++
-	if s.broken || s.calls <= s.failFirst {
-		s.fails++
+	if s.broken {
 		return device.Response{}, errors.New("connection reset by peer")
 	}
 	return s.inner.Exec(line)
@@ -358,40 +352,17 @@ func TestEngineDoesNotCacheDegradedLiveArtifact(t *testing.T) {
 	}
 }
 
-// TestEngineStageRetryRecovers exercises Config.StageRetries: with
-// degradation disabled, a transport failure errors the stage, and the
-// retry policy re-executes it against the healed device.
-func TestEngineStageRetryRecovers(t *testing.T) {
+// TestEngineLiveFailureFailsJob: with degradation disabled, a transport
+// failure errors the live_test stage, which runs once, so the job errors.
+func TestEngineLiveFailureFailsJob(t *testing.T) {
 	job, sw := liveJob(t, devmodel.Cisco)
 	job.LiveFailureBudget = -1 // pre-budget semantics: first failure errors
-	sw.failFirst = 1           // the first exchange fails, then the device is healthy
-
-	eng, err := New(Config{StageRetries: map[Stage]StageRetry{
-		StageLiveTest: {Attempts: 3, Backoff: time.Millisecond},
-	}})
+	sw.broken = true
+	eng, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(context.Background(), []Job{job})
-	if err != nil {
-		t.Fatalf("retried stage still failed: %v", err)
-	}
-	if res[0].Live == nil || res[0].Live.Degraded {
-		t.Fatalf("live = %+v", res[0].Live)
-	}
-	if sw.fails == 0 {
-		t.Fatal("no failure was injected — the retry was not exercised")
-	}
-
-	// Without a retry policy the same failure mode errors the job.
-	job2, sw2 := liveJob(t, devmodel.Cisco)
-	job2.LiveFailureBudget = -1
-	sw2.broken = true
-	plain, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Run(context.Background(), []Job{job2}); err == nil {
-		t.Fatal("transport failure with degradation and retries disabled did not error")
+	if _, err := eng.Run(context.Background(), []Job{job}); err == nil {
+		t.Fatal("transport failure with degradation disabled did not error")
 	}
 }

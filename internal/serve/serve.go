@@ -188,6 +188,5 @@ func EncodeResponse(r *Response) ([]byte, error) {
 }
 
 // ResponseEncodes counts EncodeResponse calls process-wide. A warm
-// cache hit re-serves stored bytes, moving neither this counter nor the
-// pipeline's reference-codec decode counter.
+// cache hit re-serves stored bytes and does not move it.
 func ResponseEncodes() int64 { return responseEncodes.Load() }

@@ -1,18 +1,18 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"nassim/internal/benchdiff"
 )
 
 // Pipeline stage names shared by cmd/evalbench's stage table, the
 // BENCH_telemetry.json export and bench_test.go's telemetry-aware
-// benchmark. Keeping them here gives every BENCH_*.json entry a stable
-// schema.
+// benchmarks. Keeping them here gives every stage row of the BENCH_*.json
+// documents a stable name.
 const (
 	StageParse         = "parse"
 	StageSyntaxCGM     = "syntax_cgm"
@@ -25,9 +25,6 @@ const (
 	StageMapFineTune   = "mapper_finetune"
 	StageControllerInt = "controller_intent"
 )
-
-// BenchSchema versions the BENCH_telemetry.json document layout.
-const BenchSchema = "nassim-telemetry-bench/v1"
 
 // StageTimer accumulates wall time per named pipeline stage.
 type StageTimer struct {
@@ -130,39 +127,18 @@ func (st *StageTimer) Table() string {
 	return b.String()
 }
 
-// BenchDoc is the machine-readable telemetry export written by
-// cmd/evalbench (BENCH_telemetry.json).
-type BenchDoc struct {
-	Schema  string             `json:"schema"`
-	Vendor  string             `json:"vendor"`
-	Scale   float64            `json:"scale"`
-	Seed    uint64             `json:"seed"`
-	Stages  []StageRecord      `json:"stages"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// NewBenchDoc assembles the export document from a stage timer and the
-// Default registry's flattened metrics.
-func NewBenchDoc(vendor string, scale float64, seed uint64, st *StageTimer) *BenchDoc {
-	return &BenchDoc{
-		Schema: BenchSchema, Vendor: vendor, Scale: scale, Seed: seed,
-		Stages: st.Records(), Metrics: defaultRegistry.FlatSnapshot(),
+// BenchRows renders the per-stage records as benchdiff rows:
+// stage.<name>.avg_ns and stage.<name>.calls. Stage tables come from one
+// pipeline run, not b.N iterations, so the timing rows gate at the
+// single-shot tolerance above the single-shot noise floor.
+func (st *StageTimer) BenchRows() []benchdiff.Row {
+	var rows []benchdiff.Row
+	for _, r := range st.Records() {
+		rows = append(rows,
+			benchdiff.Row{Name: "stage." + r.Name + ".avg_ns", Unit: "ns", Better: benchdiff.Lower,
+				Value: float64(r.AvgNS), Tol: benchdiff.SingleShotTolerance, Floor: benchdiff.SingleShotFloorNS},
+			benchdiff.Row{Name: "stage." + r.Name + ".calls", Unit: "count", Better: benchdiff.Info,
+				Value: float64(r.Calls)})
 	}
-}
-
-// MarshalIndent renders the document as stable, indented JSON (metrics are
-// a map; encoding/json already sorts its keys).
-func (d *BenchDoc) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
-}
-
-// SortedMetricNames lists the metric keys of the document, sorted, for
-// table output.
-func (d *BenchDoc) SortedMetricNames() []string {
-	out := make([]string, 0, len(d.Metrics))
-	for k := range d.Metrics {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return rows
 }

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"nassim/internal/benchdiff"
 )
 
 // nilCtx keeps test call sites short.
@@ -54,23 +56,16 @@ func TestStageTable(t *testing.T) {
 	}
 }
 
-func TestBenchDocSchema(t *testing.T) {
-	GetCounter("benchdoc_probe_total").Inc()
+func TestStageBenchRows(t *testing.T) {
 	st := NewStageTimer()
+	st.Observe(StageParse, 3*time.Millisecond)
 	st.Observe(StageParse, time.Millisecond)
-	doc := NewBenchDoc("Huawei", 0.05, 7, st)
-	data, err := doc.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
+	want := []benchdiff.Row{
+		{Name: "stage.parse.avg_ns", Unit: "ns", Better: benchdiff.Lower, Value: 2e6,
+			Tol: benchdiff.SingleShotTolerance, Floor: benchdiff.SingleShotFloorNS},
+		{Name: "stage.parse.calls", Unit: "count", Better: benchdiff.Info, Value: 2},
 	}
-	var back BenchDoc
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != BenchSchema || back.Vendor != "Huawei" || len(back.Stages) != 1 {
-		t.Fatalf("round trip wrong: %+v", back)
-	}
-	if back.Metrics["benchdoc_probe_total"] < 1 {
-		t.Fatalf("metrics snapshot missing probe counter: %v", back.SortedMetricNames())
+	if got := st.BenchRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %+v\nwant %+v", got, want)
 	}
 }

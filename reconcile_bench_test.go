@@ -2,12 +2,11 @@ package nassim_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 )
 
 // BenchmarkReconcileFleet measures one reconcile cycle over a 64-device
@@ -15,9 +14,8 @@ import (
 // every device through its resilient client, classify drift, re-validate
 // only the invalidated pipeline stages, and build the plan. The first
 // (unmeasured) cycle warms the artifact cache, so measured cycles show the
-// steady-state economy. With NASSIM_RECONCILE_BENCH_OUT set (make
-// bench-reconcile) the figures export as BENCH_reconcile.json (schema
-// nassim-reconcile-bench/v1).
+// steady-state economy. The figures export as BENCH_reconcile.json (make
+// bench-reconcile).
 func BenchmarkReconcileFleet(b *testing.B) {
 	sc, err := nassim.FleetScenarioByName("churn+skew+flap")
 	if err != nil {
@@ -63,48 +61,31 @@ func BenchmarkReconcileFleet(b *testing.B) {
 	b.ReportMetric(probesPerSec, "probes/sec")
 	b.ReportMetric(last.CacheHitRatio(), "cache_hit_ratio")
 
-	out := os.Getenv("NASSIM_RECONCILE_BENCH_OUT")
-	if out == "" {
-		return
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	// Cycle and probe timings come from a handful of cycles, so they
+	// gate like single-shot measurements with a millisecond floor.
+	timing := func(name string, v float64) benchdiff.Row {
+		return benchdiff.Row{Name: name, Unit: "ms", Better: benchdiff.Lower, Value: v,
+			Tol: benchdiff.SingleShotTolerance, Floor: benchdiff.SingleShotFloorMs}
 	}
-	doc := struct {
-		Schema        string  `json:"schema"`
-		N             int     `json:"n"`
-		Devices       int     `json:"devices"`
-		Scenario      string  `json:"scenario"`
-		CycleP50Ms    float64 `json:"cycle_p50_ms"`
-		CycleMeanMs   float64 `json:"cycle_mean_ms"`
-		ProbesPerSec  float64 `json:"probes_per_sec"`
-		ProbeP50Ms    float64 `json:"probe_p50_ms"`
-		ProbeP99Ms    float64 `json:"probe_p99_ms"`
-		CacheHitRatio float64 `json:"cache_hit_ratio"`
-		DriftActions  int     `json:"drift_actions"`
-		Health        struct {
-			Converged   int `json:"converged"`
-			Drifted     int `json:"drifted"`
-			Degraded    int `json:"degraded"`
-			Unreachable int `json:"unreachable"`
-		} `json:"health"`
-	}{
-		Schema: "nassim-reconcile-bench/v1", N: len(cycleLat),
-		Devices: devices, Scenario: sc.Name,
-		CycleP50Ms:    float64(p50.Microseconds()) / 1e3,
-		CycleMeanMs:   meanMs,
-		ProbesPerSec:  probesPerSec,
-		ProbeP50Ms:    float64(last.ProbeP50.Microseconds()) / 1e3,
-		ProbeP99Ms:    float64(last.ProbeP99.Microseconds()) / 1e3,
-		CacheHitRatio: last.CacheHitRatio(),
-		DriftActions:  len(last.Plan.Actions),
-	}
-	doc.Health.Converged = last.Health[nassim.FleetConverged]
-	doc.Health.Drifted = last.Health[nassim.FleetDrifted]
-	doc.Health.Degraded = last.Health[nassim.FleetDegraded]
-	doc.Health.Unreachable = last.Health[nassim.FleetUnreachable]
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchRows(b, "reconcile", []benchdiff.Row{
+		timing("cycle_p50_ms", ms(p50)),
+		timing("cycle_mean_ms", meanMs),
+		timing("probe_p50_ms", ms(last.ProbeP50)),
+		timing("probe_p99_ms", ms(last.ProbeP99)),
+		{Name: "probes_per_sec", Unit: "1/s", Better: benchdiff.Higher, Value: probesPerSec,
+			Tol: benchdiff.SpeedupTolerance},
+		// The cache economy and fleet health are seeded and deterministic:
+		// any unreachable device is a robustness regression, and a cache-hit
+		// collapse means revalidation stopped being incremental.
+		{Name: "cache_hit_ratio", Unit: "ratio", Better: benchdiff.Higher, Value: last.CacheHitRatio()},
+		{Name: "health.unreachable", Unit: "count", Better: benchdiff.Lower,
+			Value: float64(last.Health[nassim.FleetUnreachable])},
+		infoRow("n", "count", float64(len(cycleLat))),
+		infoRow("devices", "count", devices),
+		infoRow("drift_actions", "count", float64(len(last.Plan.Actions))),
+		infoRow("health.converged", "count", float64(last.Health[nassim.FleetConverged])),
+		infoRow("health.drifted", "count", float64(last.Health[nassim.FleetDrifted])),
+		infoRow("health.degraded", "count", float64(last.Health[nassim.FleetDegraded])),
+	})
 }
