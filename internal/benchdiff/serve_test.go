@@ -1,141 +1,119 @@
 package benchdiff
 
 import (
-	"strings"
+	"os"
 	"testing"
 )
 
-const serveBase = `{"schema":"nassim-serve-bench/v1","requests":400,"errors":0,` +
-	`"duration_ms":250,"rps":1600,"latency_p50_ms":4.5,"latency_p99_ms":16,` +
-	`"latency_mean_ms":4.8,"dedup_hit_ratio":0.99,` +
-	`"dedup_8way":{"clients":8,"executions":1,"hit_ratio":0.875},` +
-	`"queue":{"max_depth":0,"shed":0}}`
-
-func TestFlattenServe(t *testing.T) {
-	schema, ms, err := Flatten([]byte(serveBase))
+// serveBaseline reads the committed serve baseline, the row list `make
+// benchdiff` gates cmd/loadgen's output against.
+func serveBaseline(t *testing.T) []Row {
+	t.Helper()
+	data, err := os.ReadFile("../../BENCH_serve.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if schema != SchemaServe {
-		t.Errorf("schema %q; want %q", schema, SchemaServe)
+	rows, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dirs := map[string]Direction{}
-	for _, m := range ms {
-		dirs[m.Name] = m.Dir
+	return rows
+}
+
+// without returns a copy of rows lacking the named row.
+func without(rows []Row, name string) []Row {
+	var out []Row
+	for _, r := range rows {
+		if r.Name != name {
+			out = append(out, r)
+		}
 	}
-	for name, want := range map[string]Direction{
-		"latency_p50_ms":        LowerBetter,
-		"latency_p99_ms":        LowerBetter,
-		"latency_mean_ms":       LowerBetter,
-		"rps":                   HigherBetter,
-		"dedup_hit_ratio":       HigherBetter,
-		"dedup_8way.hit_ratio":  HigherBetter,
-		"dedup_8way.executions": LowerBetter,
-		"queue.max_depth":       LowerBetter,
-		"queue.shed":            LowerBetter,
-		"errors":                LowerBetter,
+	return out
+}
+
+// TestFlattenServe: the serve suite's flat row list carries every serve
+// metric in its direction, and compares clean against itself.
+func TestFlattenServe(t *testing.T) {
+	base := serveBaseline(t)
+	dirs := map[string]string{}
+	for _, r := range base {
+		dirs[r.Name] = r.Better
+	}
+	for name, want := range map[string]string{
+		"latency_p50_ms":        Lower,
+		"latency_p99_ms":        Lower,
+		"latency_mean_ms":       Lower,
+		"rps":                   Higher,
+		"dedup_hit_ratio":       Higher,
+		"dedup_8way.hit_ratio":  Higher,
+		"dedup_8way.executions": Lower,
+		"queue.max_depth":       Lower,
+		"queue.shed":            Lower,
+		"errors":                Lower,
 		"requests":              Info,
 		"duration_ms":           Info,
 	} {
 		got, ok := dirs[name]
 		if !ok {
-			t.Errorf("metric %s missing from flattened serve document", name)
+			t.Errorf("row %s missing from the serve baseline", name)
 			continue
 		}
 		if got != want {
-			t.Errorf("metric %s direction %v; want %v", name, got, want)
+			t.Errorf("row %s better %q; want %q", name, got, want)
 		}
 	}
-	if res, err := Compare([]byte(serveBase), []byte(serveBase), Tolerances{}); err != nil || res.Failed() {
-		t.Fatalf("identical serve documents failed: err=%v res=%+v", err, res)
+	if res := compare(t, base, base); res.Failed() || len(res.Deltas) != len(base) {
+		t.Fatalf("identical serve row lists not clean:\n%s", res.Table())
 	}
 }
 
+// TestFlattenServeGates: Compare, at the gates the serve baseline
+// declares, fails each serve regression and passes sub-floor jitter.
 func TestFlattenServeGates(t *testing.T) {
+	base := serveBaseline(t)
+	value := map[string]float64{}
+	for _, r := range base {
+		value[r.Name] = r.Value
+	}
+	// The cases below perturb a healthy run: one execution for the 8-way
+	// fan-in, no errors, an empty queue.
+	for name, want := range map[string]float64{"dedup_8way.executions": 1, "errors": 0,
+		"queue.max_depth": 0, "queue.shed": 0} {
+		if value[name] != want {
+			t.Fatalf("baseline %s = %v, want %v", name, value[name], want)
+		}
+	}
+	fails := func(what string, cur []Row) {
+		t.Helper()
+		if !compare(t, base, cur).Failed() {
+			t.Errorf("%s did not fail the gate", what)
+		}
+	}
+	passes := func(what string, cur []Row) {
+		t.Helper()
+		if res := compare(t, base, cur); res.Failed() {
+			t.Errorf("%s failed the gate: %v", what, regressed(res))
+		}
+	}
+
 	// The singleflight invariant: a second execution for the 8-way fan-in
 	// is a dedup regression, whatever the timings say.
-	twoExecs := strings.Replace(serveBase, `"executions":1`, `"executions":2`, 1)
-	res, err := Compare([]byte(serveBase), []byte(twoExecs), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Error("dedup_8way executions doubling did not fail the gate")
-	}
-
+	fails("dedup_8way executions doubling", with(base, "dedup_8way.executions", 2))
 	// A warm-phase dedup collapse regresses as a higher-better ratio.
-	coldDedup := strings.Replace(serveBase, `"dedup_hit_ratio":0.99`, `"dedup_hit_ratio":0.2`, 1)
-	res, err = Compare([]byte(serveBase), []byte(coldDedup), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Error("dedup hit ratio collapse did not fail the gate")
-	}
-
+	fails("dedup hit ratio collapse", with(base, "dedup_hit_ratio", 0.2*value["dedup_hit_ratio"]))
 	// An RPS collapse past the speedup tolerance trips the gate.
-	slow := strings.Replace(serveBase, `"rps":1600`, `"rps":300`, 1)
-	res, err = Compare([]byte(serveBase), []byte(slow), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Error("RPS collapse did not fail the gate")
-	}
-
+	fails("RPS collapse", with(base, "rps", 0.2*value["rps"]))
 	// Request errors appearing from a zero baseline regress (+Inf change).
-	errored := strings.Replace(serveBase, `"errors":0`, `"errors":3`, 1)
-	res, err = Compare([]byte(serveBase), []byte(errored), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Error("new request errors did not fail the gate")
-	}
+	fails("new request errors", with(base, "errors", 3))
 
 	// Millisecond-scale latency jitter under the single-shot floor passes:
-	// 4.5ms -> 20ms is a 4.4x ratio but under the 25ms absolute floor.
-	jitter := strings.Replace(serveBase, `"latency_p50_ms":4.5`, `"latency_p50_ms":20`, 1)
-	res, err = Compare([]byte(serveBase), []byte(jitter), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() {
-		t.Errorf("sub-floor latency jitter failed the gate: %+v", res.Regressions())
-	}
+	// a p50 several times the baseline's few ms, but under the 25ms floor.
+	passes("sub-floor latency jitter", with(base, "latency_p50_ms", 20))
 
 	// A queue blip 0 -> 3 stays under the absolute floor; 0 -> 20 regresses.
-	blip := strings.Replace(serveBase, `"queue":{"max_depth":0,"shed":0}`,
-		`"queue":{"max_depth":3,"shed":0}`, 1)
-	res, err = Compare([]byte(serveBase), []byte(blip), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() {
-		t.Errorf("sub-floor queue blip failed the gate: %+v", res.Regressions())
-	}
-	backup := strings.Replace(serveBase, `"queue":{"max_depth":0,"shed":0}`,
-		`"queue":{"max_depth":20,"shed":0}`, 1)
-	res, err = Compare([]byte(serveBase), []byte(backup), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Error("queue backlog growth did not fail the gate")
-	}
+	passes("sub-floor queue blip", with(base, "queue.max_depth", 3))
+	fails("queue backlog growth", with(base, "queue.max_depth", 20))
 
-	// A dropped metric (benchmark silently truncated) is itself a failure.
-	var missing = strings.Replace(serveBase, `"dedup_hit_ratio":0.99,`, ``, 1)
-	res, err = Compare([]byte(serveBase), []byte(missing), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.MissingCurrent) != 0 {
-		t.Log("missing metric listed:", res.MissingCurrent)
-	}
-	if !res.Failed() {
-		// A zeroed (absent) ratio still flattens to 0, which regresses;
-		// either path must fail.
-		t.Error("dropped dedup_hit_ratio did not fail the gate")
-	}
+	// A dropped row (benchmark silently truncated) is itself a failure.
+	fails("dropped dedup_hit_ratio", without(base, "dedup_hit_ratio"))
 }
