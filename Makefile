@@ -91,21 +91,34 @@ benchdiff:
 	$(MAKE) bench-all BENCH_DIR=benchout
 	$(GO) run ./cmd/benchdiff -baseline . -current benchout
 
-# Fuzzing under the race detector. Artifact codecs: coverage-guided
-# mutations of real encoded artifacts must decode cleanly or be rejected
-# with an error — never panic — at the stage-codec layer
-# (FuzzArtifactCodecs) and the container layer (FuzzOpen). CGM index
-# (FuzzIndexMatch): the two-keyword index must answer any instance line
-# exactly as a scan over every template does. Tokenizer (FuzzTokenize):
-# the byte scan must split any input, invalid UTF-8 included, exactly as
-# the rune loop it replaced. The seed corpora also run in every plain
-# `go test`.
+# Fuzzing under the race detector, every fuzz target in the repo, one
+# anchored target per line. Artifact codecs: coverage-guided mutations of
+# real encoded artifacts must decode cleanly or be rejected with an
+# error — never panic — at the stage-codec layer (FuzzArtifactCodecs) and
+# the container layer (FuzzOpen). CGM index (FuzzIndexMatch): the
+# two-keyword index must answer any instance line exactly as a scan over
+# every template does. Tokenizer (FuzzTokenize): the byte scan must split
+# any input, invalid UTF-8 included, exactly as the rune loop it replaced.
+# Untrusted text: the YANG, CLI-template and HTML parsers (FuzzParse in
+# each package) and the NETCONF RPC dispatcher (FuzzDispatch) must never
+# panic on any input. HTML fast paths: the arena builder, the whitespace
+# collapser and the byte tokenizer must match their reference
+# implementations on any input (FuzzArenaMatchesParse,
+# FuzzCollapseSpaceMatchesReference, FuzzByteTokenizer). The seed corpora
+# also run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -race -run '^$$' -fuzz FuzzArtifactCodecs -fuzztime $(FUZZTIME) ./internal/pipeline
-	$(GO) test -race -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/artifact
-	$(GO) test -race -run '^$$' -fuzz FuzzIndexMatch -fuzztime $(FUZZTIME) ./internal/cgm
-	$(GO) test -race -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/nlp
+	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -race -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -race -run '^$$' -fuzz '^FuzzIndexMatch$$' -fuzztime $(FUZZTIME) ./internal/cgm
+	$(GO) test -race -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/nlp
+	$(GO) test -race -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/yang
+	$(GO) test -race -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/clisyntax
+	$(GO) test -race -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
+	$(GO) test -race -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME) ./internal/netconf
+	$(GO) test -race -run '^$$' -fuzz '^FuzzArenaMatchesParse$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
+	$(GO) test -race -run '^$$' -fuzz '^FuzzCollapseSpaceMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
+	$(GO) test -race -run '^$$' -fuzz '^FuzzByteTokenizer$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

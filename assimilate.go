@@ -82,17 +82,16 @@ type Options struct {
 	// the pipeline Job field of the same name. 0 takes the default.
 	LiveFailureBudget int
 	// Report builds the run observatory's per-run manifest: input content
-	// hashes, per-stage outcomes and attempts, cache hit/miss, worker-pool
+	// hashes, per-stage outcomes, cache hit/miss, worker-pool
 	// utilization, metrics delta, and a span summary, with every duration
 	// and timestamp quarantined in the manifest's timing block. The result
 	// carries it, /debug/lastrun serves it, and with CacheDir set it is
 	// also written under CacheDir/manifests/.
 	Report bool
 	// StageHook observes actual stage executions (cache hits never fire
-	// it): it is called immediately before each execution attempt and the
-	// returned func — which may be nil — runs when the attempt finishes.
-	// Assimilate sets no stage retries, so every execution is a single
-	// attempt and the hook brackets the stage's whole run. Stage timers
+	// it): it is called immediately before a stage executes and the
+	// returned func — which may be nil — runs when the execution
+	// finishes, so the hook brackets the stage's whole run. Stage timers
 	// (StageTimer.Start), the pprof flight recorder behind `nassim run
 	// -profile-stages`, and the serving daemon's live progress stream all
 	// attach here. The hook is called from the engine's worker goroutines,

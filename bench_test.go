@@ -360,26 +360,6 @@ func BenchmarkRecommend(b *testing.B) {
 			exportMapperBench(b, "Recommend/"+string(kind))
 		})
 	}
-	// Float-reference rows: the same DL paths with the int8-quantized
-	// candidate prune disabled — the before/after pair for the quantized
-	// scorer lives in one BENCH_mapper.json.
-	for _, kind := range []nassim.ModelKind{nassim.ModelSBERT, nassim.ModelIRSBERT} {
-		kind := kind
-		b.Run(string(kind)+"-float", func(b *testing.B) {
-			m, err := nassim.NewMapper(benchUDM, kind, nassim.WithFloatScoring())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := nassim.ExtractContext(d.asr.VDM, d.anns[0].Param)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if recs := m.Recommend(ctx, 10); len(recs) == 0 {
-					b.Fatal("no recommendations")
-				}
-			}
-			exportMapperBench(b, "Recommend/"+string(kind)+"-float")
-		})
-	}
 }
 
 // BenchmarkMapAll measures the parallel batch path: 100 parameter

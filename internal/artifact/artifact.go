@@ -215,9 +215,6 @@ func OpenSchema(data []byte, schema string) (*Reader, error) {
 	return r, nil
 }
 
-// Schema returns the document's schema tag.
-func (r *Reader) Schema() string { return r.schema }
-
 // Section returns a decoder over the named section, or an error if the
 // document has no such section.
 func (r *Reader) Section(name string) (*Dec, error) {

@@ -240,15 +240,6 @@ func FromTemplate(tmpl string, typeOf TypeResolver) (*Graph, error) {
 // NodeCount returns the number of FSM states including root and terminal.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// EdgeCount returns the number of FSM transitions.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, s := range g.succ {
-		n += len(s)
-	}
-	return n
-}
-
 // matchNext implements Algorithm 4's match_next: keyword candidates take
 // priority (exact text), and only if none matches are parameter candidates
 // tried (type fit).

@@ -157,10 +157,6 @@ type Client struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	vendor string
-	// ioTimeout is the per-exchange read/write deadline applied when the
-	// caller's context carries no deadline (DefaultExchangeTimeout unless
-	// overridden by SetIOTimeout).
-	ioTimeout time.Duration
 }
 
 // DialContext connects to a device server and consumes the greeting. The
@@ -188,7 +184,7 @@ func NewClientConn(ctx context.Context, conn net.Conn) (*Client, error) {
 		greetDeadline = d
 	}
 	conn.SetDeadline(greetDeadline)
-	c := &Client{conn: conn, r: bufio.NewReader(conn), ioTimeout: DefaultExchangeTimeout}
+	c := &Client{conn: conn, r: bufio.NewReader(conn)}
 	greeting, err := c.readLine()
 	if err != nil {
 		conn.Close()
@@ -202,10 +198,6 @@ func NewClientConn(ctx context.Context, conn net.Conn) (*Client, error) {
 	c.vendor = strings.TrimPrefix(greeting, "HELLO ")
 	return c, nil
 }
-
-// SetIOTimeout overrides the per-exchange deadline applied when no
-// context deadline is in force (0 disables the safety net).
-func (c *Client) SetIOTimeout(d time.Duration) { c.ioTimeout = d }
 
 // Vendor returns the vendor announced by the device.
 func (c *Client) Vendor() string { return c.vendor }
@@ -222,35 +214,27 @@ func (c *Client) readLine() (string, error) {
 // the context's deadline (when set) is pushed onto the connection before
 // the exchange, so a session run under a timed-out assimilation aborts in
 // the transport instead of blocking on a dead device. Without a context
-// deadline the client's per-exchange ioTimeout applies.
+// deadline DefaultExchangeTimeout applies.
 func (c *Client) ExecContext(ctx context.Context, line string) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
 	deadline, ok := ctx.Deadline()
-	if !ok && c.ioTimeout > 0 {
-		deadline, ok = time.Now().Add(c.ioTimeout), true
+	if !ok {
+		deadline = time.Now().Add(DefaultExchangeTimeout)
 	}
-	if ok {
-		if err := c.conn.SetDeadline(deadline); err != nil {
-			return Response{}, fmt.Errorf("device: set deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{})
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		return Response{}, fmt.Errorf("device: set deadline: %w", err)
 	}
+	defer c.conn.SetDeadline(time.Time{})
 	return c.exec(line)
 }
 
-// Exec sends one CLI line and decodes the response, bounded by the
-// client's per-exchange deadline so a half-open connection fails instead
-// of blocking forever.
+// Exec sends one CLI line and decodes the response, bounded by
+// DefaultExchangeTimeout so a half-open connection fails instead of
+// blocking forever.
 func (c *Client) Exec(line string) (Response, error) {
-	if c.ioTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
-			return Response{}, fmt.Errorf("device: set deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	return c.exec(line)
+	return c.ExecContext(context.Background(), line)
 }
 
 func (c *Client) exec(line string) (Response, error) {

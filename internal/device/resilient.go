@@ -232,17 +232,6 @@ func (rc *ResilientClient) dropConn() {
 	}
 }
 
-// Vendor returns the vendor announced by the device, or "" before the
-// first successful connection.
-func (rc *ResilientClient) Vendor() string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.cl == nil {
-		return ""
-	}
-	return rc.cl.Vendor()
-}
-
 // Close terminates the session; subsequent exchanges fail.
 func (rc *ResilientClient) Close() error {
 	rc.mu.Lock()

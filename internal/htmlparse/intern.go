@@ -44,9 +44,6 @@ func NewIntern() *Intern {
 // one shared pool maximizes reuse.
 var defaultIntern = NewIntern()
 
-// DefaultIntern returns the shared process-wide interning pool.
-func DefaultIntern() *Intern { return defaultIntern }
-
 // fnv1a hashes b (FNV-1a, 32 bit) to pick a shard.
 func fnv1a(b []byte) uint32 {
 	h := uint32(2166136261)

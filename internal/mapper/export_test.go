@@ -21,9 +21,9 @@ func (m *Mapper) dlScoreNaive(paramEmb []nlp.Vec, attr int) float64 {
 }
 
 // RecommendNaive is Recommend on the pre-vectorization scoring path:
-// per-pair cosines over every candidate, no precombined rows and no
-// quantized prune. Golden tests compare Recommend against it; it is
-// declared in a test file so that it ships in no binary.
+// per-pair cosines over every candidate and no precombined rows. Golden
+// tests compare Recommend against it; it is declared in a test file so
+// that it ships in no binary.
 func (m *Mapper) RecommendNaive(ctx ParamContext, k int) []Recommendation {
 	if k <= 0 {
 		k = 10

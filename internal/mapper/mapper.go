@@ -115,14 +115,6 @@ func WithMapWorkers(n int) Option {
 	return func(m *Mapper) { m.mapWorkers = n }
 }
 
-// WithFloatScoring disables the int8-quantized candidate prune so every
-// candidate is scored on the float path. This is the scalar reference
-// configuration: the differential suite and the before/after benchmark
-// rows compare the quantized scorer against it.
-func WithFloatScoring() Option {
-	return func(m *Mapper) { m.floatOnly = true }
-}
-
 // Mapper recommends UDM attributes for VDM parameters. Recommend and
 // MapAll are safe for concurrent use; RefreshUDM and encoder fine-tuning
 // mutate shared state and must not race with in-flight queries.
@@ -142,12 +134,6 @@ type Mapper struct {
 	// KV×KU cosines with norm recomputation.
 	comb []float64
 	dim  int
-
-	// quant is the int8 image of comb (see quant.go). nil when the
-	// mapper has no encoder or WithFloatScoring was requested; otherwise
-	// Recommend prunes through it and rescores survivors on comb.
-	quant     *quantMatrix
-	floatOnly bool
 
 	// Metric handles resolved once in New, keyed by model kind, so
 	// Recommend (called per parameter, §7.3 benchmarks it) pays atomics only.
@@ -230,10 +216,10 @@ func (m *Mapper) Name() string {
 // that can change what Recommend returns — the model combination, the
 // shortlist size, the normalized Equation 2 weights, the encoder's
 // settings and learned tables, and every UDM attribute (results carry
-// the whole attribute). Float scoring and the MapAll worker count are
-// left out because neither changes a score. It is computed on each call,
-// so fine-tuning followed by RefreshUDM changes it with nothing to
-// refresh; like RefreshUDM, it must not race with fine-tuning.
+// the whole attribute). The MapAll worker count is left out because it
+// changes no score. It is computed on each call, so fine-tuning followed
+// by RefreshUDM changes it with nothing to refresh; like RefreshUDM, it
+// must not race with fine-tuning.
 func (m *Mapper) Fingerprint() string {
 	h := sha256.New()
 	var frame [8]byte
@@ -264,7 +250,7 @@ func (m *Mapper) Fingerprint() string {
 }
 
 // rebuildComb recomputes the precombined UDM matrix from the current
-// attribute embeddings and weights, and refreshes its int8 image.
+// attribute embeddings and weights.
 func (m *Mapper) rebuildComb() {
 	n := m.tree.Len()
 	comb := make([]float64, n*KV*m.dim)
@@ -282,10 +268,6 @@ func (m *Mapper) rebuildComb() {
 		}
 	}
 	m.comb = comb
-	m.quant = nil
-	if !m.floatOnly {
-		m.quant = quantizeMatrix(comb, n*KV, m.dim)
-	}
 }
 
 // RefreshUDM re-encodes the UDM attribute contexts and rebuilds the
@@ -358,16 +340,11 @@ func (m *Mapper) Recommend(ctx ParamContext, k int) []Recommendation {
 	for i, s := range ctx.Sequences {
 		paramEmb[i] = m.enc.Encode(s)
 	}
-	var top []nlp.Scored
-	if m.quant != nil && len(candidates) >= quantMinCandidates {
-		top = m.scoreQuant(paramEmb, candidates, k)
-	} else {
-		scored := make([]nlp.Scored, len(candidates))
-		for ci, a := range candidates {
-			scored[ci] = nlp.Scored{Doc: a, Score: m.dlScore(paramEmb, a)}
-		}
-		top = nlp.TopKScored(scored, k)
+	scored := make([]nlp.Scored, len(candidates))
+	for ci, a := range candidates {
+		scored[ci] = nlp.Scored{Doc: a, Score: m.dlScore(paramEmb, a)}
 	}
+	top := nlp.TopKScored(scored, k)
 	out := make([]Recommendation, len(top))
 	for i, s := range top {
 		out[i] = Recommendation{AttrIndex: s.Doc, Attr: m.tree.Attrs[s.Doc], Score: s.Score}

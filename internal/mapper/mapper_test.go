@@ -283,7 +283,6 @@ func TestFingerprint(t *testing.T) {
 		same bool
 	}{
 		{"rebuilt", build(testTree(), netbert(), true), true},
-		{"float scoring", build(testTree(), netbert(), true, WithFloatScoring()), true},
 		{"1 map worker", build(testTree(), netbert(), true, WithMapWorkers(1)), true},
 		{"4 map workers", build(testTree(), netbert(), true, WithMapWorkers(4)), true},
 		{"fine-tuned on nothing", tuned(nil), true},

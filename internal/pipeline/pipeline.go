@@ -266,7 +266,6 @@ func (s RunStats) String() string {
 		}
 		parts = append(parts, fmt.Sprintf("%s=%d/%d", st, r, r+k))
 	}
-	sort.Strings(parts)
 	return fmt.Sprintf("jobs=%d ran/total: %v wall=%v", s.Jobs, parts, s.Wall.Round(time.Millisecond))
 }
 
@@ -682,10 +681,12 @@ func hashPages(vendor string, pages []parser.Page) string {
 	return HashStrings(parts...)
 }
 
+// hashFiles frames each file as its name, its line count and its lines, so
+// a line that looks like a file name cannot stand in for a file boundary.
 func hashFiles(files []configgen.File) string {
 	parts := make([]string, 0, len(files)*4)
 	for _, f := range files {
-		parts = append(parts, f.Name)
+		parts = append(parts, f.Name, strconv.Itoa(len(f.Lines)))
 		parts = append(parts, f.Lines...)
 	}
 	return HashStrings(parts...)

@@ -264,6 +264,18 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestRunStatsStringStageOrder pins String to execution order: empirical
+// runs after parse, so it is listed after parse, although it sorts first.
+func TestRunStatsStringStageOrder(t *testing.T) {
+	s := Summarize([]*JobResult{
+		{Ran: []Stage{StageParse, StageEmpiricalValidate, StageMapToUDM}, Skipped: []Stage{StageDeriveHierarchy}},
+	}, 1500*time.Millisecond)
+	want := "jobs=1 ran/total: [parse=1/1 hierarchy=0/1 empirical=1/1 map_to_udm=1/1] wall=1.5s"
+	if got := s.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 // switchExec injects a transport failure on every call while broken.
 type switchExec struct {
 	inner  empirical.Executor

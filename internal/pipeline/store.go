@@ -83,9 +83,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (d *DiskStore) Dir() string { return d.dir }
-
 // path names an artifact file. The codec version is part of the name:
 // a codec or layout bump changes the filename, so a newer binary can
 // never read (or clobber) an older layout's artifact — stale files are

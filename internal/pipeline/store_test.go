@@ -3,6 +3,8 @@ package pipeline
 import (
 	"path/filepath"
 	"testing"
+
+	"nassim/internal/configgen"
 )
 
 func TestKeyContentHashing(t *testing.T) {
@@ -18,6 +20,17 @@ func TestKeyContentHashing(t *testing.T) {
 	}
 	if HashStrings() == HashStrings("") {
 		t.Error("zero parts collides with one empty part")
+	}
+}
+
+// TestHashFilesFramesFiles checks that a config line naming a file cannot
+// pass for a file boundary: one file whose last line is "b.cfg" and two
+// files, the second named "b.cfg" and empty, are different inputs.
+func TestHashFilesFramesFiles(t *testing.T) {
+	one := []configgen.File{{Name: "a.cfg", Lines: []string{"sysname r1", "b.cfg"}}}
+	two := []configgen.File{{Name: "a.cfg", Lines: []string{"sysname r1"}}, {Name: "b.cfg"}}
+	if hashFiles(one) == hashFiles(two) {
+		t.Error("one file and two files share a config hash")
 	}
 }
 

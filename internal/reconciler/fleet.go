@@ -96,7 +96,6 @@ type fleetDevice struct {
 	vendor  string
 	dev     *device.Device
 	srv     *device.Server
-	fl      *faultnet.Listener
 	client  *device.ResilientClient
 	showCmd string
 	desired []desiredLine
@@ -198,8 +197,7 @@ func newFleet(spec FleetSpec, desired map[string]*vendorDesired, cooldown time.D
 			}
 			l = tl
 		}
-		fd.fl = faultnet.Wrap(l, profile)
-		fd.srv = device.ServeListener(fd.dev, fd.fl)
+		fd.srv = device.ServeListener(fd.dev, faultnet.Wrap(l, profile))
 		fd.client = device.DialResilient(fd.srv.Addr(), opts)
 		f.devices = append(f.devices, fd)
 	}
@@ -242,24 +240,6 @@ func observedLines(desired []desiredLine, drift DriftSpec, spec FleetSpec, i int
 		out = append(out, fmt.Sprintf("! legacy unmanaged-%d site %04d", k, i))
 	}
 	return out
-}
-
-// Devices returns the fleet size.
-func (f *Fleet) Devices() int { return len(f.devices) }
-
-// Stats sums the transport faults every device's injector delivered.
-func (f *Fleet) Stats() faultnet.Stats {
-	var total faultnet.Stats
-	for _, fd := range f.devices {
-		s := fd.fl.Stats()
-		total.Conns += s.Conns
-		total.Dropped += s.Dropped
-		total.Resets += s.Resets
-		total.Spikes += s.Spikes
-		total.Garbled += s.Garbled
-		total.Truncated += s.Truncated
-	}
-	return total
 }
 
 // Retries sums the fleet clients' lifetime retry counts (the satellite

@@ -187,9 +187,6 @@ func New(ctx context.Context, cfg Config) (*Reconciler, error) {
 	return r, nil
 }
 
-// Fleet exposes the served fleet (tests and benchmarks read its stats).
-func (r *Reconciler) Fleet() *Fleet { return r.fleet }
-
 // Close tears down the fleet. The reconciler must not be used afterwards.
 func (r *Reconciler) Close() error { return r.fleet.Close() }
 

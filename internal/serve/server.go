@@ -41,8 +41,8 @@ const (
 )
 
 // StageObserver observes actual pipeline stage executions: called
-// before each attempt, and the returned func (which may be nil) runs
-// when the attempt finishes. It mirrors nassim.Options.StageHook with
+// before a stage executes, and the returned func (which may be nil) runs
+// when the execution finishes. It mirrors nassim.Options.StageHook with
 // plain strings so the server does not depend on pipeline stage types.
 type StageObserver func(vendor, stage string) func()
 

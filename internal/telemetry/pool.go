@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"sync"
 	"time"
 )
@@ -94,7 +95,7 @@ func RunPool(workers, n int, fn func(w, i int)) PoolStats {
 // == "parse_worker_utilization_workers8". One naming function so the
 // bench-side and manifest-side numbers are comparable by key.
 func UtilizationKey(stage string, workers int) string {
-	return stage + "_worker_utilization_workers" + itoa(workers)
+	return stage + "_worker_utilization_workers" + strconv.Itoa(workers)
 }
 
 // UtilizationAccum folds pooled sections — benchmark iterations, or the
@@ -127,34 +128,11 @@ func (u *UtilizationAccum) Utilization() (float64, bool) {
 // with the pool's worker count so per-size utilization histograms can be
 // compared (e.g. nassim_parse_worker_busy_seconds{workers="8"}).
 func ObserveWorkerBusy(metric string, ps PoolStats, labels ...string) {
-	kv := append(append([]string(nil), labels...), "workers", itoa(ps.Workers))
+	kv := append(append([]string(nil), labels...), "workers", strconv.Itoa(ps.Workers))
 	h := GetHistogram(metric, nil, kv...)
 	for _, b := range ps.BusyNS {
 		h.ObserveDuration(time.Duration(b))
 	}
-}
-
-// itoa avoids strconv for the tiny worker counts used as labels.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // lastRun holds the most recent run manifest for /debug/lastrun. The

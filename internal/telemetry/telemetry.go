@@ -20,10 +20,8 @@ package telemetry
 // consistent.
 const (
 	ComponentParser     = "parser"
-	ComponentSyntax     = "syntax"
 	ComponentHierarchy  = "hierarchy"
 	ComponentEmpirical  = "empirical"
 	ComponentMapper     = "mapper"
 	ComponentController = "controller"
-	ComponentDevice     = "device"
 )

@@ -249,15 +249,8 @@ type Mapper struct {
 	netbert *nlp.NetBERT
 }
 
-// MapperOption re-exports mapper.Option for NewMapper callers.
-type MapperOption = mapper.Option
-
-// WithFloatScoring disables the int8-quantized candidate prune (the
-// scalar-reference configuration the benchmarks compare against).
-func WithFloatScoring() MapperOption { return mapper.WithFloatScoring() }
-
 // NewMapper builds a Mapper of the given kind over a UDM.
-func NewMapper(u *UDM, kind ModelKind, opts ...MapperOption) (*Mapper, error) {
+func NewMapper(u *UDM, kind ModelKind) (*Mapper, error) {
 	syn := devmodel.GeneralSynonyms()
 	var enc nlp.Encoder
 	var nb *nlp.NetBERT
@@ -285,7 +278,7 @@ func NewMapper(u *UDM, kind ModelKind, opts ...MapperOption) (*Mapper, error) {
 	default:
 		return nil, fmt.Errorf("nassim: unknown mapper model %q", kind)
 	}
-	m, err := mapper.New(u, enc, useIR, opts...)
+	m, err := mapper.New(u, enc, useIR)
 	if err != nil {
 		return nil, err
 	}
