@@ -95,10 +95,15 @@ benchdiff:
 # anchored target per line. Artifact codecs: coverage-guided mutations of
 # real encoded artifacts must decode cleanly or be rejected with an
 # error — never panic — at the stage-codec layer (FuzzArtifactCodecs) and
-# the container layer (FuzzOpen). CGM index (FuzzIndexMatch): the
-# two-keyword index must answer any instance line exactly as a scan over
-# every template does. Tokenizer (FuzzTokenize): the byte scan must split
-# any input, invalid UTF-8 included, exactly as the rune loop it replaced.
+# the container layer (FuzzOpen). Both targets also reseal each input
+# (rewrite its header hash), so mutated bytes get past the checksum to the
+# section tables and the decoders. Their new inputs run to 14 KB, and Go's
+# default 60 s minimization of each one stalls the run, so those two lines
+# turn minimization off (-fuzzminimizetime 0; a crasher is kept as found).
+# CGM index (FuzzIndexMatch): the two-keyword index must answer any
+# instance line exactly as a scan over every template does. Tokenizer
+# (FuzzTokenize): the byte scan must split any input, invalid UTF-8
+# included, exactly as the rune loop it replaced.
 # Untrusted text: the YANG, CLI-template and HTML parsers (FuzzParse in
 # each package) and the NETCONF RPC dispatcher (FuzzDispatch) must never
 # panic on any input. HTML fast paths: the arena builder, the whitespace
@@ -108,8 +113,8 @@ benchdiff:
 # also run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) ./internal/pipeline
-	$(GO) test -race -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/pipeline
+	$(GO) test -race -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/artifact
 	$(GO) test -race -run '^$$' -fuzz '^FuzzIndexMatch$$' -fuzztime $(FUZZTIME) ./internal/cgm
 	$(GO) test -race -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/nlp
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/yang

@@ -59,8 +59,11 @@ type Options struct {
 	// Cache is the artifact store consulted before every stage; nil uses a
 	// fresh store (no reuse across calls).
 	Cache *PipelineCache
-	// CacheDir, when set, mirrors the expensive artifacts (parse output,
-	// derived VDM) on disk so later processes warm-start from them.
+	// CacheDir, when set, mirrors four stages' artifacts on disk (parse,
+	// hierarchy, empirical and map_to_udm) so later processes warm-start
+	// from them. syntax_cgm stays in memory, so a restart still executes
+	// one stage per job; live_test stays in memory because it records a
+	// device at one moment.
 	CacheDir string
 	// Validate runs empirical configuration validation (§5.3, Figure 8)
 	// for vendors with a synthetic configuration corpus.

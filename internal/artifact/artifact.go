@@ -20,8 +20,9 @@
 //	         payload bytes (the concatenated sections; the string pool
 //	         is a reserved section named "\x00pool")
 //
-// Section payloads are streams of varints, booleans and (offset,len)
-// string-pool references, written by Enc and read back by Dec.
+// Section payloads are streams of varints, booleans, 8-byte IEEE 754
+// floats and (offset,len) string-pool references, written by Enc and read
+// back by Dec.
 package artifact
 
 import (
@@ -29,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -247,6 +249,12 @@ func (e *Enc) Bool(b bool) {
 	}
 }
 
+// Float64 appends the 8 little-endian IEEE 754 bits of f, so every value
+// (NaN payloads and signed zeros included) decodes bit for bit.
+func (e *Enc) Float64(f float64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
+}
+
 // String appends a string-pool reference (offset,len), interning the
 // bytes in the shared pool. Equal strings across the whole document cost
 // one pool entry and decode to aliases of the same bytes.
@@ -322,6 +330,17 @@ func (d *Dec) Bool() bool {
 	b := d.buf[d.pos]
 	d.pos++
 	return b != 0
+}
+
+// Float64 reads the 8 bits Enc.Float64 wrote.
+func (d *Dec) Float64() float64 {
+	if d.err != nil || len(d.buf)-d.pos < 8 {
+		d.fail()
+		return 0
+	}
+	u := binary.LittleEndian.Uint64(d.buf[d.pos:])
+	d.pos += 8
+	return math.Float64frombits(u)
 }
 
 // String reads a string-pool reference and returns the string zero-copy:

@@ -1,6 +1,9 @@
 package artifact
 
 import (
+	"crypto/sha256"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -66,6 +69,52 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Section("missing"); err == nil {
 		t.Error("missing section should error")
+	}
+}
+
+// TestFloat64Bits round-trips the values a lossy float codec would bend
+// (signed zero, a NaN payload, the infinities, the smallest subnormal, the
+// largest finite value) and compares them by their bits.
+func TestFloat64Bits(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	w := NewWriter("test/v1")
+	e := w.Section("f")
+	for _, v := range vals {
+		e.Float64(v)
+	}
+	e.Uvarint(1)
+	r, err := Open(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		if got := d.Float64(); math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("Float64 = %#x, want %#x", math.Float64bits(got), math.Float64bits(v))
+		}
+	}
+	if d.Uvarint() != 1 || d.Err() != nil {
+		t.Fatalf("trailing varint lost: %v", d.Err())
+	}
+
+	// A 7-byte tail is a short read: the error sticks and every later read
+	// returns zero.
+	d = &Dec{buf: []byte{1, 2, 3, 4, 5, 6, 7}}
+	if got := d.Float64(); got != 0 || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("short Float64 = %v, err %v", got, d.Err())
+	}
+	if d.Float64() != 0 || d.Uvarint() != 0 || d.Int() != 0 || d.Bool() || d.String() != "" {
+		t.Error("read after a short Float64 returned non-zero")
+	}
+	if n, isNil := d.Len(); n != 0 || !isNil {
+		t.Errorf("Len after a short Float64 = %d,%v", n, isNil)
+	}
+	if !errors.Is(d.Err(), ErrTruncated) {
+		t.Errorf("sticky error = %v", d.Err())
 	}
 }
 
@@ -141,27 +190,62 @@ func TestDecSticksOnMalformedSection(t *testing.T) {
 	}
 }
 
+// reseal rewrites the header hash of a document-shaped input over its
+// bytes [40:], so a mutated input gets past Open's checksum to the section
+// table, the varints and the pool offsets. Inputs too short for a header
+// or without the magic are returned as they are.
+func reseal(data []byte) []byte {
+	const hdr = len(Magic) + sha256.Size
+	if len(data) < hdr || string(data[:len(Magic)]) != Magic {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	sum := sha256.Sum256(out[hdr:])
+	copy(out[len(Magic):], sum[:])
+	return out
+}
+
+// FuzzOpen feeds each input to Open twice: as it is, which exercises the
+// header and checksum checks, and resealed, which reaches the section
+// table and every primitive decoder behind them.
 func FuzzOpen(f *testing.F) {
 	w := NewWriter("fuzz/v1")
 	e := w.Section("s")
 	e.String("seed")
 	e.Uvarint(7)
+	e.Float64(-1.5)
+	e.Len(2, false)
+	e.Bool(true)
 	f.Add(w.Bytes())
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Open(data)
-		if err != nil {
-			return
-		}
-		// A document that validates must be fully decodable without panics.
-		for _, name := range r.names {
-			d, err := r.Section(name)
+		for _, in := range [][]byte{data, reseal(data)} {
+			r, err := Open(in)
 			if err != nil {
-				t.Fatal(err)
+				continue
 			}
-			for d.Err() == nil && d.pos < len(d.buf) {
-				_ = d.String()
+			// A document that validates must be fully decodable without
+			// panics, whatever the reads it is decoded with.
+			for _, name := range r.names {
+				d, err := r.Section(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d.Err() == nil && d.pos < len(d.buf) {
+					switch d.buf[d.pos] % 5 {
+					case 0:
+						_ = d.String()
+					case 1:
+						_ = d.Float64()
+					case 2:
+						_, _ = d.Len()
+					case 3:
+						_ = d.Int()
+					default:
+						_ = d.Bool()
+					}
+				}
 			}
 		}
 	})

@@ -212,6 +212,10 @@ func (m *Mapper) Name() string {
 	}
 }
 
+// Attrs returns the UDM attributes a Recommendation's AttrIndex indexes.
+// The slice is the mapper's own; treat it as read-only.
+func (m *Mapper) Attrs() []udm.Attribute { return m.tree.Attrs }
+
 // Fingerprint is the mapper's content identity: a sha256 over every input
 // that can change what Recommend returns — the model combination, the
 // shortlist size, the normalized Equation 2 weights, the encoder's

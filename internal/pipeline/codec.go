@@ -6,8 +6,11 @@ import (
 
 	"nassim/internal/artifact"
 	"nassim/internal/corpus"
+	"nassim/internal/empirical"
 	"nassim/internal/hierarchy"
+	"nassim/internal/mapper"
 	"nassim/internal/telemetry"
+	"nassim/internal/udm"
 	"nassim/internal/vdm"
 )
 
@@ -168,7 +171,190 @@ func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
 	return a, nil
 }
 
-// The codecs the engine wires into the stage graph.
+// --- empirical artifact -----------------------------------------------------
+
+// empiricalCodec stores the EmpiricalValidate stage's report: the four
+// counts, the used corpora as an ascending index list (so one report
+// always writes the same bytes) and the failures. It is built per job:
+// corpora is the job's VDM corpus count, and a decoded index outside it is
+// a decode error. Pool is observational and is not stored; a decoded
+// report has a zero Pool.
+type empiricalCodec struct{ corpora int }
+
+func (empiricalCodec) Version() string { return "empirical.v1.art" }
+
+func (empiricalCodec) Encode(r *empirical.Report) ([]byte, error) {
+	w := artifact.NewWriter("empirical/v1")
+	e := w.Section("report")
+	e.Int(int64(r.Files))
+	e.Int(int64(r.TotalLines))
+	e.Int(int64(r.UniqueLines))
+	e.Int(int64(r.MatchedLines))
+	used := sortedUsed(r.UsedCorpora)
+	e.Len(len(used), r.UsedCorpora == nil)
+	for _, c := range used {
+		e.Uvarint(uint64(c))
+	}
+	e.Len(len(r.Failures), r.Failures == nil)
+	for _, f := range r.Failures {
+		e.String(f.File)
+		e.Int(int64(f.LineNo))
+		e.String(f.Line)
+		e.String(f.Reason)
+	}
+	return w.Bytes(), nil
+}
+
+func (c empiricalCodec) Decode(data []byte) (*empirical.Report, error) {
+	r, err := artifact.OpenSchema(data, "empirical/v1")
+	if err != nil {
+		return nil, err
+	}
+	d, err := r.Section("report")
+	if err != nil {
+		return nil, err
+	}
+	rep := &empirical.Report{
+		Files:        int(d.Int()),
+		TotalLines:   int(d.Int()),
+		UniqueLines:  int(d.Int()),
+		MatchedLines: int(d.Int()),
+	}
+	if n, isNil := d.Len(); !isNil {
+		if n > c.corpora {
+			return nil, fmt.Errorf("pipeline: empirical artifact: %d used corpora, VDM has %d", n, c.corpora)
+		}
+		rep.UsedCorpora = make(map[int]bool, n)
+		prev := -1
+		for i := 0; i < n; i++ {
+			u := d.Uvarint()
+			if d.Err() != nil {
+				return nil, d.Err()
+			}
+			if u >= uint64(c.corpora) || int(u) <= prev {
+				return nil, fmt.Errorf("pipeline: empirical artifact: corpus index %d after %d, want ascending in [0,%d)",
+					u, prev, c.corpora)
+			}
+			prev = int(u)
+			rep.UsedCorpora[prev] = true
+		}
+	}
+	if n, isNil := d.Len(); !isNil {
+		rep.Failures = make([]empirical.Failure, n)
+		for i := range rep.Failures {
+			rep.Failures[i] = empirical.Failure{File: d.String(), LineNo: int(d.Int()), Line: d.String(), Reason: d.String()}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// --- map artifact -----------------------------------------------------------
+
+// mapCodec stores the MapToUDM stage's mappings. It is built per job from
+// the job's parameter list, the mapper's attributes and the top-k, all of
+// which the stage key already hashes (the attributes through
+// Mapper.Fingerprint). So each mapping stores only its recommendations, as
+// (attribute index, score bits) pairs, and decoding relinks Param and Attr
+// from the lists. A mapping count other than len(params), more than topK
+// recommendations in a mapping, or an attribute index out of range is a
+// decode error.
+type mapCodec struct {
+	params []vdm.Parameter
+	attrs  []udm.Attribute
+	topK   int
+}
+
+func (mapCodec) Version() string { return "map.v1.art" }
+
+func (mapCodec) Encode(ms []Mapping) ([]byte, error) {
+	w := artifact.NewWriter("map/v1")
+	e := w.Section("mappings")
+	e.Len(len(ms), ms == nil)
+	total := 0
+	for _, m := range ms {
+		total += len(m.Recommendations)
+	}
+	e.Uvarint(uint64(total))
+	for _, m := range ms {
+		e.Len(len(m.Recommendations), m.Recommendations == nil)
+		for _, r := range m.Recommendations {
+			e.Uvarint(uint64(r.AttrIndex))
+			e.Float64(r.Score)
+		}
+	}
+	return w.Bytes(), nil
+}
+
+// minRecBytes is the smallest encoding of one recommendation: a one-byte
+// index varint and the 8 score bytes.
+const minRecBytes = 9
+
+func (c mapCodec) Decode(data []byte) ([]Mapping, error) {
+	r, err := artifact.OpenSchema(data, "map/v1")
+	if err != nil {
+		return nil, err
+	}
+	d, err := r.Section("mappings")
+	if err != nil {
+		return nil, err
+	}
+	n, isNil := d.Len()
+	total := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if n != len(c.params) {
+		return nil, fmt.Errorf("pipeline: map artifact: %d mappings, job has %d parameters", n, len(c.params))
+	}
+	// Every recommendation costs minRecBytes, so a forged total cannot
+	// allocate more than the file could hold.
+	if total > uint64(len(data)/minRecBytes) {
+		return nil, fmt.Errorf("pipeline: map artifact: %d recommendations in %d bytes", total, len(data))
+	}
+	flat := make([]mapper.Recommendation, total)
+	var out []Mapping
+	if !isNil {
+		out = make([]Mapping, n)
+	}
+	for i := range out {
+		out[i].Param = c.params[i]
+		k, isNil := d.Len()
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if k > c.topK || k > len(flat) {
+			return nil, fmt.Errorf("pipeline: map artifact: mapping %d has %d recommendations, top-k %d, %d left",
+				i, k, c.topK, len(flat))
+		}
+		if isNil {
+			continue
+		}
+		recs := flat[:k:k]
+		flat = flat[k:]
+		for j := range recs {
+			idx, score := d.Uvarint(), d.Float64()
+			if err := d.Err(); err != nil {
+				return nil, err
+			}
+			if idx >= uint64(len(c.attrs)) {
+				return nil, fmt.Errorf("pipeline: map artifact: attribute index %d out of range [0,%d)", idx, len(c.attrs))
+			}
+			recs[j] = mapper.Recommendation{AttrIndex: int(idx), Attr: c.attrs[idx], Score: score}
+		}
+		out[i].Recommendations = recs
+	}
+	if len(flat) != 0 {
+		return nil, fmt.Errorf("pipeline: map artifact: %d recommendations unclaimed", len(flat))
+	}
+	return out, nil
+}
+
+// The codecs the engine wires into the stage graph. The empirical and map
+// codecs are built per job (they carry the job's corpus count, parameters
+// and attributes); syntax_cgm and live_test have none and stay in memory.
 var (
 	parseCodec  Codec[*parseArtifact]  = parseBinaryCodec{}
 	deriveCodec Codec[*deriveArtifact] = deriveBinaryCodec{}

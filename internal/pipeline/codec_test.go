@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"nassim/internal/cgm"
 	"nassim/internal/devmodel"
 	"nassim/internal/hierarchy"
+	"nassim/internal/vdm"
 )
 
 // parseJSONCodec and deriveJSONCodec encode the JSON reference layouts the
@@ -169,12 +171,106 @@ func artifactFiles(t *testing.T, dir, version string) []string {
 	return out
 }
 
+// copyDir copies the files of a flat directory into another.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// jobCodecs builds the per-job empirical and map codecs the engine used
+// for a finished job.
+func jobCodecs(job Job, jr *JobResult) (empiricalCodec, mapCodec) {
+	params := make([]vdm.Parameter, len(jr.Mapping))
+	for i, mp := range jr.Mapping {
+		params[i] = mp.Param
+	}
+	return empiricalCodec{corpora: len(jr.VDM.Corpora)},
+		mapCodec{params: params, attrs: job.Map.Mapper.Attrs(), topK: job.Map.TopK}
+}
+
 // TestCorruptDiskArtifactIsCacheMiss is the resilience satellite: a
-// truncated or bit-flipped artifact on disk must be treated as a cache
-// miss — the stage re-runs, the run succeeds, and the output matches the
-// cold run. The container's content hash is what catches the mid-file
-// flip; the length framing catches the truncation.
+// truncated, bit-flipped or forged artifact on disk must be treated as a
+// cache miss — the stage re-runs, the run succeeds, the output matches
+// the cold run, and the re-run restores the pristine artifact. The
+// container's content hash catches the mid-file flip and the length
+// framing the truncation. A forged artifact carries a valid hash, so the
+// codec's index checks must catch it.
 func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
+	job := fullJob(t, devmodel.H3C, 0.02)
+	pristineDir := t.TempDir()
+	first, err := New(Config{CacheDir: pristineDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := first.Run(context.Background(), []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empC, mapC := jobCodecs(job, cold[0])
+
+	// check corrupts the one artifact of a stage in a copy of the cold
+	// mirror and runs a fresh engine over it.
+	check := func(t *testing.T, stage Stage, version string, corrupt func([]byte) []byte) {
+		dir := t.TempDir()
+		copyDir(t, pristineDir, dir)
+		files := artifactFiles(t, dir, version)
+		if len(files) != 1 {
+			t.Fatalf("expected 1 %s artifact, found %d", version, len(files))
+		}
+		pristine, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(files[0], corrupt(append([]byte(nil), pristine...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		second, err := New(Config{CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := second.Run(context.Background(), []Job{job})
+		if err != nil {
+			t.Fatalf("corrupt artifact must be a miss, not an error: %v", err)
+		}
+		if !slices.Contains(warm[0].Ran, stage) {
+			t.Errorf("%s stage did not re-run over corrupt artifact: ran=%v", stage, warm[0].Ran)
+		}
+		if !bytes.Equal(marshalVDM(t, cold[0].VDM), marshalVDM(t, warm[0].VDM)) {
+			t.Error("re-run VDM differs from cold VDM")
+		}
+		sameStageResults(t, cold[0], warm[0])
+		// The stage re-ran and re-mirrored: the artifact must be whole again.
+		repaired, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(repaired, pristine) {
+			t.Error("re-run did not restore the disk artifact")
+		}
+	}
+
+	// The derive artifact is left out: it records build times, so a re-run
+	// cannot restore its bytes.
+	mirrored := []struct {
+		stage   Stage
+		version string
+	}{
+		{StageParse, parseCodec.Version()},
+		{StageEmpiricalValidate, empC.Version()},
+		{StageMapToUDM, mapC.Version()},
+	}
 	corruptions := []struct {
 		name    string
 		corrupt func([]byte) []byte
@@ -191,58 +287,42 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			job, _ := testJob(t, devmodel.H3C, 0.02)
-
-			first, err := New(Config{CacheDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := first.Run(context.Background(), []Job{job})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			files := artifactFiles(t, dir, parseCodec.Version())
-			if len(files) != 1 {
-				t.Fatalf("expected 1 parse artifact, found %d", len(files))
-			}
-			pristine, err := os.ReadFile(files[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(files[0], tc.corrupt(append([]byte(nil), pristine...)), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			second, err := New(Config{CacheDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, err := second.Run(context.Background(), []Job{job})
-			if err != nil {
-				t.Fatalf("corrupt artifact must be a miss, not an error: %v", err)
-			}
-			ran := map[Stage]bool{}
-			for _, st := range warm[0].Ran {
-				ran[st] = true
-			}
-			if !ran[StageParse] {
-				t.Errorf("parse stage did not re-run over corrupt artifact: ran=%v", warm[0].Ran)
-			}
-			if !bytes.Equal(marshalVDM(t, cold[0].VDM), marshalVDM(t, warm[0].VDM)) {
-				t.Error("re-run VDM differs from cold VDM")
-			}
-			// The stage re-ran and re-mirrored: the artifact must be whole again.
-			repaired, err := os.ReadFile(files[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(repaired, pristine) {
-				t.Error("re-run did not restore the disk artifact")
+			for _, m := range mirrored {
+				t.Run(string(m.stage), func(t *testing.T) { check(t, m.stage, m.version, tc.corrupt) })
 			}
 		})
 	}
+
+	// Forged artifacts: decoded, given one index outside the job's lists,
+	// and re-encoded, so the content hash is valid.
+	t.Run("forged_attr_index", func(t *testing.T) {
+		check(t, StageMapToUDM, mapC.Version(), func(b []byte) []byte {
+			ms, err := mapC.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms[len(ms)-1].Recommendations[0].AttrIndex = len(mapC.attrs)
+			out, err := mapC.Encode(ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		})
+	})
+	t.Run("forged_corpus_index", func(t *testing.T) {
+		check(t, StageEmpiricalValidate, empC.Version(), func(b []byte) []byte {
+			rep, err := empC.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.UsedCorpora[empC.corpora] = true
+			out, err := empC.Encode(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		})
+	})
 }
 
 // TestWarmRunDecodesZeroJSON: a warm four-vendor run over a populated
@@ -254,7 +334,7 @@ func TestWarmRunDecodesZeroJSON(t *testing.T) {
 	mkJobs := func() []Job {
 		jobs := make([]Job, len(devmodel.AllVendors))
 		for i, v := range devmodel.AllVendors {
-			jobs[i], _ = testJob(t, v, 0.02)
+			jobs[i] = fullJob(t, v, 0.02)
 		}
 		return jobs
 	}
@@ -268,8 +348,8 @@ func TestWarmRunDecodesZeroJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh memory store, same disk mirror: every parse and derive
-	// artifact must come back through the binary path.
+	// Fresh memory store, same disk mirror: every parse, derive, empirical
+	// and map artifact must come back through the binary path.
 	second, err := New(Config{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -282,15 +362,14 @@ func TestWarmRunDecodesZeroJSON(t *testing.T) {
 	for i, v := range devmodel.AllVendors {
 		// Syntax validation caches in memory only; with a fresh MemStore it
 		// re-runs. The disk-mirrored stages must not.
-		for _, st := range warm[i].Ran {
-			if st == StageParse || st == StageDeriveHierarchy {
-				t.Errorf("%s: warm run executed disk-mirrored stage %s", v, st)
-			}
+		if want := []Stage{StageSyntaxValidate}; !slices.Equal(warm[i].Ran, want) {
+			t.Errorf("%s: warm run executed %v, want %v", v, warm[i].Ran, want)
 		}
 		if !bytes.Equal(marshalVDM(t, cold[i].VDM), marshalVDM(t, warm[i].VDM)) {
 			t.Errorf("%s: warm VDM differs from cold VDM", v)
 		}
-		for _, st := range []Stage{StageParse, StageDeriveHierarchy} {
+		sameStageResults(t, cold[i], warm[i])
+		for _, st := range []Stage{StageParse, StageDeriveHierarchy, StageEmpiricalValidate, StageMapToUDM} {
 			load, ok := warm[i].DiskLoads[st]
 			if !ok {
 				t.Errorf("%s/%s: no disk load recorded", v, st)

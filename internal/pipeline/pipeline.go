@@ -276,8 +276,11 @@ type Config struct {
 	// Store is the artifact cache; nil gets a fresh MemStore. Share one
 	// store across runs to make warm re-runs skip unchanged stages.
 	Store Store
-	// CacheDir, when set, mirrors the expensive artifacts (parse output,
-	// derived VDM) on disk so later processes can warm-start.
+	// CacheDir, when set, mirrors the artifacts of the four stages with a
+	// codec (parse, hierarchy, empirical, map_to_udm) on disk so later
+	// processes can warm-start. syntax_cgm stays in memory, so a restart
+	// still executes one stage per job and fires its StageHook; live_test
+	// stays in memory because it records a device at one moment.
 	CacheDir string
 	// StageHook, when set, observes actual stage executions (cache hits
 	// never fire it). It is called immediately before each execution;
@@ -576,7 +579,8 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		jr.ConfigHash = hashFiles(job.ConfigFiles)
 		empKey := Key(StageEmpiricalValidate, deriveKey, jr.ConfigHash)
 		jr.noteKey(StageEmpiricalValidate, empKey)
-		rep, err := runStage(ctx, e, jr, StageEmpiricalValidate, empKey, nil,
+		rep, err := runStage(ctx, e, jr, StageEmpiricalValidate, empKey,
+			empiricalCodec{corpora: len(da.VDM.Corpora)},
 			func(ctx context.Context) (*empirical.Report, error) {
 				r := empirical.ValidateConfigs(ctx, da.VDM, job.ConfigFiles)
 				jr.notePool(StageEmpiricalValidate, r.Pool)
@@ -641,7 +645,8 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 		mapKey := Key(StageMapToUDM, deriveKey, spec.Mapper.Fingerprint(),
 			strconv.Itoa(topK), HashStrings(paramParts...))
 		jr.noteKey(StageMapToUDM, mapKey)
-		mappings, err := runStage(ctx, e, jr, StageMapToUDM, mapKey, nil,
+		mappings, err := runStage(ctx, e, jr, StageMapToUDM, mapKey,
+			mapCodec{params: params, attrs: spec.Mapper.Attrs(), topK: topK},
 			func(ctx context.Context) ([]Mapping, error) {
 				pcs := make([]mapper.ParamContext, len(params))
 				for i, p := range params {
@@ -693,6 +698,16 @@ func hashFiles(files []configgen.File) string {
 }
 
 func hashUsed(used map[int]bool) string {
+	keys := sortedUsed(used)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = strconv.Itoa(k)
+	}
+	return HashStrings(parts...)
+}
+
+// sortedUsed lists the corpus indices marked used, ascending.
+func sortedUsed(used map[int]bool) []int {
 	keys := make([]int, 0, len(used))
 	for k, v := range used {
 		if v {
@@ -700,9 +715,5 @@ func hashUsed(used map[int]bool) string {
 		}
 	}
 	sort.Ints(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = strconv.Itoa(k)
-	}
-	return HashStrings(parts...)
+	return keys
 }

@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"nassim/internal/configgen"
 	"nassim/internal/device"
 	"nassim/internal/devmodel"
 	"nassim/internal/empirical"
 	"nassim/internal/manualgen"
+	"nassim/internal/mapper"
+	"nassim/internal/nlp"
 	"nassim/internal/parser"
+	"nassim/internal/udm"
 	"nassim/internal/vdm"
 )
 
@@ -39,6 +46,67 @@ func testJob(t testing.TB, v devmodel.Vendor, scale float64) (Job, *devmodel.Mod
 			return out
 		},
 	}, m
+}
+
+// fullJob extends testJob with configuration files and an IR+SBERT
+// MapSpec over every parameter, so all four disk-mirrored stages run:
+// parse, hierarchy, empirical and map_to_udm. Vendors without a Table 4
+// configuration corpus borrow Huawei's corpus shape, and one extra file
+// holds a line no template matches, so the empirical report carries a
+// failure.
+func fullJob(t testing.TB, v devmodel.Vendor, scale float64, opts ...mapper.Option) Job {
+	t.Helper()
+	job, m := testJob(t, v, scale)
+	cfg, ok := configgen.PaperConfig(v)
+	if !ok {
+		cfg, _ = configgen.PaperConfig(devmodel.Huawei)
+	}
+	job.ConfigFiles = append(configgen.Generate(m, cfg.Scaled(scale)).Files,
+		configgen.File{Name: "unknown.cfg", Lines: []string{"frobnicate the widget 42"}})
+	// 96 is nassim.EncoderDim, which this package cannot import.
+	mp, err := mapper.New(udm.Build(devmodel.Concepts()), nlp.NewSBERT(96, devmodel.GeneralSynonyms()), true, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Map = &MapSpec{Mapper: mp, TopK: 10}
+	return job
+}
+
+// sameStageResults reports how a disk-loaded result differs from the cold
+// one in its empirical report (Pool aside: it is observational and not
+// stored) and its mappings: every parameter, attribute index, attribute and
+// score bit must match.
+func sameStageResults(t *testing.T, cold, warm *JobResult) {
+	t.Helper()
+	if (cold.Empirical == nil) != (warm.Empirical == nil) {
+		t.Fatalf("empirical report presence differs: cold %v, warm %v", cold.Empirical != nil, warm.Empirical != nil)
+	}
+	if cold.Empirical != nil {
+		c, w := *cold.Empirical, *warm.Empirical
+		w.Pool = c.Pool
+		if !reflect.DeepEqual(c, w) {
+			t.Errorf("empirical report differs:\ncold %v\nwarm %v", &c, &w)
+		}
+	}
+	if len(cold.Mapping) != len(warm.Mapping) || (cold.Mapping == nil) != (warm.Mapping == nil) {
+		t.Fatalf("mappings: cold %d, warm %d", len(cold.Mapping), len(warm.Mapping))
+	}
+	for i, cm := range cold.Mapping {
+		wm := warm.Mapping[i]
+		if !reflect.DeepEqual(cm.Param, wm.Param) {
+			t.Fatalf("mapping %d: param %+v, want %+v", i, wm.Param, cm.Param)
+		}
+		if len(cm.Recommendations) != len(wm.Recommendations) {
+			t.Fatalf("mapping %d: %d recommendations, want %d", i, len(wm.Recommendations), len(cm.Recommendations))
+		}
+		for j, cr := range cm.Recommendations {
+			wr := wm.Recommendations[j]
+			if wr.AttrIndex != cr.AttrIndex || !reflect.DeepEqual(wr.Attr, cr.Attr) ||
+				math.Float64bits(wr.Score) != math.Float64bits(cr.Score) {
+				t.Fatalf("mapping %d rec %d: %+v, want %+v", i, j, wr, cr)
+			}
+		}
+	}
 }
 
 func marshalVDM(t *testing.T, v *vdm.VDM) []byte {
@@ -86,7 +154,7 @@ func TestEngineColdThenWarm(t *testing.T) {
 
 func TestEngineDiskCacheWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	job, _ := testJob(t, devmodel.Cisco, 0.02)
+	job := fullJob(t, devmodel.Cisco, 0.02)
 
 	first, err := New(Config{CacheDir: dir})
 	if err != nil {
@@ -96,9 +164,12 @@ func TestEngineDiskCacheWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cold[0].Mapping) == 0 || cold[0].Empirical == nil || cold[0].Empirical.MatchedLines == 0 {
+		t.Fatalf("cold run mapped %d parameters, empirical %v", len(cold[0].Mapping), cold[0].Empirical)
+	}
 
 	// A fresh engine (empty memory store) over the same directory must
-	// warm-start the persisted stages: parse and derive.
+	// warm-start the four mirrored stages and run only syntax_cgm.
 	second, err := New(Config{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -107,15 +178,37 @@ func TestEngineDiskCacheWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped := map[Stage]bool{}
-	for _, st := range warm[0].Skipped {
-		skipped[st] = true
+	if want := []Stage{StageSyntaxValidate}; !slices.Equal(warm[0].Ran, want) {
+		t.Errorf("warm run executed %v, want %v", warm[0].Ran, want)
 	}
-	if !skipped[StageParse] || !skipped[StageDeriveHierarchy] {
-		t.Errorf("disk cache not consulted: skipped=%v", warm[0].Skipped)
+	want := map[Stage]string{StageParse: "parse.v1.art", StageDeriveHierarchy: "derive.v1.art",
+		StageEmpiricalValidate: "empirical.v1.art", StageMapToUDM: "map.v1.art"}
+	for st, codec := range want {
+		if got := warm[0].DiskLoads[st].Codec; got != codec {
+			t.Errorf("%s loaded via %q, want %q", st, got, codec)
+		}
 	}
 	if !bytes.Equal(marshalVDM(t, cold[0].VDM), marshalVDM(t, warm[0].VDM)) {
 		t.Error("disk-loaded VDM differs from cold VDM")
+	}
+	sameStageResults(t, cold[0], warm[0])
+
+	// A mapper with another fingerprint must miss the mirrored mappings and
+	// re-run the stage; everything upstream still loads.
+	other := fullJob(t, devmodel.Cisco, 0.02, mapper.WithShortlist(20))
+	third, err := New(Config{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := third.Run(context.Background(), []Job{other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Stage{StageSyntaxValidate, StageMapToUDM}; !slices.Equal(res[0].Ran, want) {
+		t.Errorf("other mapper executed %v, want %v", res[0].Ran, want)
+	}
+	if _, ok := res[0].DiskLoads[StageMapToUDM]; ok {
+		t.Error("a mapper with another fingerprint loaded the mirrored mappings")
 	}
 }
 

@@ -68,9 +68,10 @@ func (s *MemStore) Len() int {
 }
 
 // DiskStore persists serialized stage artifacts under a directory, one
-// file per key. It backs the MemStore for the expensive stages (parse,
-// hierarchy derivation) so a fresh process can warm-start from a previous
-// run's artifacts.
+// file per key. It backs the MemStore for the four stages with a codec
+// (parse, hierarchy, empirical, map_to_udm) so a fresh process can
+// warm-start from a previous run's artifacts. syntax_cgm and live_test
+// have no codec and stay in memory (see Config.CacheDir).
 type DiskStore struct {
 	dir string
 }

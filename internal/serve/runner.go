@@ -15,7 +15,8 @@ type RunnerConfig struct {
 	// every request this runner serves, so repeated work at the pipeline
 	// level is also deduplicated.
 	Cache *nassim.PipelineCache
-	// CacheDir mirrors expensive artifacts on disk (optional).
+	// CacheDir mirrors the parse, hierarchy, empirical and map_to_udm
+	// artifacts on disk (optional).
 	CacheDir string
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nassim"
@@ -31,12 +32,16 @@ var mapAllDigests = map[nassim.ModelKind]string{
 }
 
 // TestMapAllDigestFourVendors checks every mapper kind against its
-// recorded digest twice: through MapAll directly, and through the
-// engine's map_to_udm stage. All engine runs share one engine and one
-// artifact store. The IR+NetBERT mappers first run untuned and are then
+// recorded digest three times: through MapAll directly, through the
+// engine's map_to_udm stage, and through the stage's disk mirror. The
+// staged runs share one engine and one artifact store. The disk leg runs
+// two engines with fresh memory stores over one mirror: the first runs
+// the stage and mirrors it, and the second decodes the mappings it hashes.
+// The IR+NetBERT mappers first run untuned through both legs and are then
 // fine-tuned in place, as §3.2's improvement loop retrains a live mapper
 // under an unchanged name, so a stage keyed on anything less than the
-// mapper's content would serve the tuned run the untuned answers.
+// mapper's content would serve the tuned run the untuned answers from
+// memory or from disk.
 func TestMapAllDigestFourVendors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four-vendor corpus in -short mode")
@@ -68,9 +73,9 @@ func TestMapAllDigestFourVendors(t *testing.T) {
 			},
 		})
 	}
-	// run sends the jobs through the engine, mapping vendor i with
+	// run sends the jobs through an engine, mapping vendor i with
 	// mappers[i], or mapping nothing when mappers is nil.
-	run := func(mappers []*nassim.Mapper) []*pipeline.JobResult {
+	run := func(eng *pipeline.Engine, mappers []*nassim.Mapper) []*pipeline.JobResult {
 		t.Helper()
 		for i := range jobs {
 			jobs[i].Map = nil
@@ -84,7 +89,17 @@ func TestMapAllDigestFourVendors(t *testing.T) {
 		}
 		return jrs
 	}
-	derived := run(nil)
+	// diskRun is run through a fresh engine over the shared disk mirror.
+	mirror := t.TempDir()
+	diskRun := func(mappers []*nassim.Mapper) []*pipeline.JobResult {
+		t.Helper()
+		fresh, err := pipeline.New(pipeline.Config{Store: pipeline.NewMemStore(), CacheDir: mirror})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(fresh, mappers)
+	}
+	derived := run(eng, nil)
 	pcs := make([][]nassim.ParamContext, len(derived))
 	for i, jr := range derived {
 		for _, p := range jr.VDM.Parameters() {
@@ -108,14 +123,28 @@ func TestMapAllDigestFourVendors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// changed[i] reports whether mappers[i] has content the mirror has
+		// not seen, so its first disk run must execute the stage. Cisco and
+		// H3C have no annotations at this scale, so fine-tuning leaves
+		// their mappers unchanged, and their mirrored answers stay right.
+		changed := make([]bool, len(mappers))
+		for i := range changed {
+			changed[i] = true
+		}
 		if kind == nassim.ModelIRNetBERT {
-			run(mappers)
+			run(eng, mappers)
+			diskRun(mappers)
 			for i, m := range mappers {
 				// As evalbench -stages fine-tunes its mapper.
+				before := m.Fingerprint()
 				anns := nassim.GroundTruthAnnotations(models[i], 50, 7)
 				if _, err := m.FineTune(derived[i].VDM, u, anns, 4, 2, 7); err != nil {
 					t.Fatal(err)
 				}
+				changed[i] = m.Fingerprint() != before
+			}
+			if !slices.Contains(changed, true) {
+				t.Fatal("fine-tuning changed no mapper")
 			}
 		}
 		direct, staged := sha256.New(), sha256.New()
@@ -130,9 +159,25 @@ func TestMapAllDigestFourVendors(t *testing.T) {
 			}
 			params += len(pcs[i])
 		}
-		for _, jr := range run(mappers) {
+		for _, jr := range run(eng, mappers) {
 			for _, mp := range jr.Mapping {
 				write(staged, mp.Recommendations)
+			}
+		}
+		for i, jr := range diskRun(mappers) {
+			if ran := slices.Contains(jr.Ran, pipeline.StageMapToUDM); ran != changed[i] {
+				t.Errorf("%s %s: the first engine over the mirror ran map_to_udm %v, want %v (ran %v)",
+					kind, jr.Vendor, ran, changed[i], jr.Ran)
+			}
+		}
+		disk := sha256.New()
+		for _, jr := range diskRun(mappers) {
+			if _, ok := jr.DiskLoads[pipeline.StageMapToUDM]; !ok {
+				t.Errorf("%s %s: the second engine did not load map_to_udm from the mirror: ran %v",
+					kind, jr.Vendor, jr.Ran)
+			}
+			for _, mp := range jr.Mapping {
+				write(disk, mp.Recommendations)
 			}
 		}
 		want := mapAllDigests[kind]
@@ -141,6 +186,9 @@ func TestMapAllDigestFourVendors(t *testing.T) {
 		}
 		if got := hex.EncodeToString(staged.Sum(nil)); got != want {
 			t.Errorf("%s map_to_udm stage over %d parameters: digest %s, want %s", kind, params, got, want)
+		}
+		if got := hex.EncodeToString(disk.Sum(nil)); got != want {
+			t.Errorf("%s map_to_udm disk mirror over %d parameters: digest %s, want %s", kind, params, got, want)
 		}
 	}
 }
