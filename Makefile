@@ -109,8 +109,10 @@ benchdiff:
 # panic on any input. HTML fast paths: the arena builder, the whitespace
 # collapser and the byte tokenizer must match their reference
 # implementations on any input (FuzzArenaMatchesParse,
-# FuzzCollapseSpaceMatchesReference, FuzzByteTokenizer). The seed corpora
-# also run in every plain `go test`.
+# FuzzCollapseSpaceMatchesReference, FuzzByteTokenizer). Device replies
+# (FuzzClientExec): any bytes a device sends after its greeting must give
+# the client a response or an error, never a panic or a hang. The seed
+# corpora also run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/pipeline
@@ -124,6 +126,7 @@ fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzArenaMatchesParse$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCollapseSpaceMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 	$(GO) test -race -run '^$$' -fuzz '^FuzzByteTokenizer$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
+	$(GO) test -race -run '^$$' -fuzz '^FuzzClientExec$$' -fuzztime $(FUZZTIME) ./internal/device
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

@@ -240,12 +240,7 @@ func (c *Controller) Apply(device string, in Intent) (res *PushResult, err error
 	if err != nil {
 		return nil, fmt.Errorf("controller: %s: %w", device, err)
 	}
-	for _, line := range show.Data {
-		if strings.TrimSpace(line) == inst {
-			res.Verified = true
-			break
-		}
-	}
+	res.Verified = show.Shows(inst)
 	if !res.Verified {
 		return res, fmt.Errorf("controller: %s accepted %q but the running config does not show it", device, inst)
 	}

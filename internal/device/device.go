@@ -12,6 +12,7 @@ package device
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -28,13 +29,11 @@ type Device struct {
 	enters map[string][]string // command ID -> views it enables
 	byID   map[string]*devmodel.Command
 
-	mu     sync.Mutex
-	config []configLine
-}
-
-type configLine struct {
-	depth int
-	text  string
+	mu sync.Mutex
+	// config is the running configuration as rendered lines, stanza depth
+	// as leading spaces. It is only appended to or replaced, never written
+	// in place, so a capped slice of it is a stable view (see showConfig).
+	config []string
 }
 
 // New builds a device from a model. Commands whose templates fail syntax
@@ -71,19 +70,15 @@ func (d *Device) CloneFresh() *Device {
 	return &Device{model: d.model, index: d.index, enters: d.enters, byID: d.byID}
 }
 
-// SeedConfig replaces the running configuration with the given lines,
-// bypassing the command acceptor: leading spaces become the stanza depth,
-// the rest is stored verbatim. This is the fleet simulator's drift
-// injection point — it plants an *observed* state (including lines no
-// template matches, the way a legacy box accretes unmanaged config) that
-// the reconciler then reads back over the wire and diffs against desired
-// state.
+// SeedConfig replaces the running configuration with a copy of the given
+// lines, bypassing the command acceptor: leading spaces are the stanza
+// depth, and each line is stored as given. This is the fleet simulator's
+// drift injection point — it plants an *observed* state (including lines
+// no template matches, the way a legacy box accretes unmanaged config)
+// that the reconciler then reads back over the wire and diffs against
+// desired state.
 func (d *Device) SeedConfig(lines []string) {
-	cfg := make([]configLine, 0, len(lines))
-	for _, l := range lines {
-		text := strings.TrimLeft(l, " ")
-		cfg = append(cfg, configLine{depth: len(l) - len(text), text: text})
-	}
+	cfg := slices.Clone(lines)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.config = cfg
@@ -105,21 +100,21 @@ func (d *Device) ShowConfigCommand() string {
 	}
 }
 
-// snapshotConfig renders the accepted configuration as indented lines.
-func (d *Device) snapshotConfig() []string {
+// showConfig returns the running configuration as a view capped at its
+// current length: later appends land past the cap and a re-seed swaps the
+// slice, so the view's lines never change and no copy is needed.
+func (d *Device) showConfig() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, len(d.config))
-	for i, l := range d.config {
-		out[i] = strings.Repeat(" ", l.depth) + l.text
-	}
-	return out
+	return d.config[:len(d.config):len(d.config)]
 }
 
+// record appends an accepted line, rendered once at its stanza depth.
 func (d *Device) record(depth int, text string) {
+	line := strings.Repeat(" ", depth) + text
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.config = append(d.config, configLine{depth: depth, text: text})
+	d.config = append(d.config, line)
 }
 
 // Session is one CLI session on the device, with its own view stack.
@@ -155,9 +150,12 @@ func (s *Session) Depth() int { return len(s.stack) - 1 }
 
 // Response is the outcome of executing one CLI line.
 type Response struct {
-	OK   bool
-	Msg  string   // error message when !OK
-	Data []string // configuration dump for show commands
+	OK  bool
+	Msg string // error message when !OK
+	// Data is the configuration dump of a show command. It is read-only:
+	// from an in-process session it is a view of the device's running
+	// configuration, shared with every other reader.
+	Data []string
 	// Depth is the session's view-stack depth after the command, or -1
 	// when unknown (ERR and DATA responses on the wire protocol). The
 	// resilient client uses it to track the enter chain it must replay
@@ -207,7 +205,7 @@ func (s *Session) exec(line string) Response {
 		s.stack = s.stack[:1]
 		return Response{OK: true}
 	case line == s.dev.ShowConfigCommand():
-		return Response{OK: true, Data: s.dev.snapshotConfig()}
+		return Response{OK: true, Data: s.dev.showConfig()}
 	}
 	cur := map[string]bool{}
 	for _, v := range s.stack[len(s.stack)-1] {
@@ -234,32 +232,21 @@ func (s *Session) exec(line string) Response {
 	return Response{OK: true}
 }
 
-// HasConfigLine reports whether the running configuration contains the
-// exact line (ignoring indentation) — the show-command verification step
-// of §5.3's generated-instance testing.
-func (d *Device) HasConfigLine(line string) bool {
-	line = strings.TrimSpace(line)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, l := range d.config {
-		if l.text == line {
+// Shows reports whether a line of the show dump, trimmed of surrounding
+// whitespace, equals line — the show-command verification step of §5.3's
+// generated-instance testing. It scans newest first: an instance just
+// accepted is the dump's last line.
+func (r Response) Shows(line string) bool {
+	for i := len(r.Data) - 1; i >= 0; i-- {
+		if strings.TrimSpace(r.Data[i]) == line {
 			return true
 		}
 	}
 	return false
 }
 
-// ConfigLineCount returns the number of accepted configuration lines.
-func (d *Device) ConfigLineCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.config)
-}
-
-// ResetConfig clears the running configuration (test hygiene between
-// generated-instance batches).
-func (d *Device) ResetConfig() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.config = nil
+// HasConfigLine reports whether the running configuration contains the
+// line, ignoring surrounding whitespace on both sides.
+func (d *Device) HasConfigLine(line string) bool {
+	return Response{Data: d.showConfig()}.Shows(strings.TrimSpace(line))
 }

@@ -96,7 +96,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sess := s.dev.NewSession()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	scanner.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for scanner.Scan() {
 		resp := sess.Exec(scanner.Text())
 		switch {
@@ -142,6 +142,16 @@ func (s *Server) Close() error {
 // transport-level faults — the command may or may not have executed — so
 // the retry layer classifies them as retryable.
 var ErrProtocol = errors.New("protocol violation")
+
+// Bounds on what one side's lines can make the other allocate.
+const (
+	// maxLineBytes is the longest line, newline included, either side
+	// accepts: the server's scanner limit on a request line and the
+	// client's on a reply line.
+	maxLineBytes = 1 << 20
+	// maxDataPresize caps the dump slice presized from a DATA header.
+	maxDataPresize = 1024
+)
 
 // Transport timeouts applied when the caller supplies no deadline of its
 // own, so a half-open connection can never block an assimilation forever.
@@ -202,12 +212,26 @@ func NewClientConn(ctx context.Context, conn net.Conn) (*Client, error) {
 // Vendor returns the vendor announced by the device.
 func (c *Client) Vendor() string { return c.vendor }
 
+// readLine reads one reply line, refusing one longer than
+// maxLineBytes instead of buffering whatever the device sends.
 func (c *Client) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
+	var long []byte // the fragments so far of a line over the read buffer
+	for {
+		frag, err := c.r.ReadSlice('\n')
+		if len(long)+len(frag) > maxLineBytes {
+			return "", fmt.Errorf("device: reply line over %d bytes: %w", maxLineBytes, ErrProtocol)
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			long = append(long, frag...)
+			continue
+		case err != nil:
+			return "", err
+		case long != nil:
+			frag = append(long, frag...)
+		}
+		return strings.TrimRight(string(frag), "\r\n"), nil
 	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 // ExecContext is Exec honoring the context's deadline and cancellation:
@@ -264,7 +288,9 @@ func (c *Client) exec(line string) (Response, error) {
 		if err != nil || n < 0 {
 			return Response{}, fmt.Errorf("device: bad DATA header %q: %w", status, ErrProtocol)
 		}
-		data := make([]string, 0, n)
+		// n comes from the device: presize from it only up to a small
+		// bound and let the arriving lines grow the slice.
+		data := make([]string, 0, min(n, maxDataPresize))
 		for i := 0; i < n; i++ {
 			line, err := c.readLine()
 			if err != nil {

@@ -807,13 +807,10 @@ func runInstance(ctx context.Context, exec Executor, chain []string, inst, showC
 	if !ok {
 		return stop, hard
 	}
-	for _, line := range show.Data {
-		if strings.TrimSpace(line) == inst {
-			res.Verified = true
-			rep.Verified++
-			rep.NewConfigLines = append(rep.NewConfigLines, inst)
-			break
-		}
+	if show.Shows(inst) {
+		res.Verified = true
+		rep.Verified++
+		rep.NewConfigLines = append(rep.NewConfigLines, inst)
 	}
 	return false, nil
 }
