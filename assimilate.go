@@ -120,7 +120,8 @@ type Result struct {
 // (simulated) expert corrections, derive the view hierarchy, and
 // optionally validate against configurations and a live device. Vendors
 // are assimilated concurrently up to Options.Workers; cancelling ctx stops
-// the run at the next stage boundary.
+// the run at the next stage boundary. It is GenerateInputs for each vendor
+// followed by AssimilateInputs.
 func Assimilate(ctx context.Context, opts Options) (*Result, error) {
 	vendors := opts.Vendors
 	if len(vendors) == 0 {
@@ -131,15 +132,15 @@ func Assimilate(ctx context.Context, opts Options) (*Result, error) {
 		scale = 0.1
 	}
 	opts.Scale = scale
-	models := make([]*DeviceModel, len(vendors))
+	inputs := make([]*Inputs, len(vendors))
 	for i, vend := range vendors {
-		m, err := SyntheticModel(vend, scale)
+		in, err := GenerateInputs(vend, scale, opts.Validate)
 		if err != nil {
 			return nil, err
 		}
-		models[i] = m
+		inputs[i] = in
 	}
-	return assimilateModels(ctx, opts, models)
+	return AssimilateInputs(ctx, opts, inputs)
 }
 
 // AssimilateVendor is the single-vendor convenience form of Assimilate.
@@ -154,15 +155,48 @@ func AssimilateVendor(ctx context.Context, vendor string, scale float64) (*Assim
 // AssimilateModel runs the pipeline on an existing ground-truth model
 // (evaluation code mutates models before assimilating them).
 func AssimilateModel(ctx context.Context, m *DeviceModel) (*AssimilationResult, error) {
-	res, err := assimilateModels(ctx, Options{}, []*DeviceModel{m})
+	res, err := AssimilateInputs(ctx, Options{}, []*Inputs{{Model: m, Pages: SyntheticManual(m)}})
 	if err != nil {
 		return nil, err
 	}
 	return res.Results[0], nil
 }
 
-// assimilateModels builds one engine job per model and runs them.
-func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) (*Result, error) {
+// Inputs is one vendor's pipeline inputs: what the paper downloads
+// (the manual) or collects from the network (configurations, a device),
+// here generated from a ground-truth model. A run only reads them, so
+// one Inputs can feed any number of runs, concurrently.
+type Inputs struct {
+	Model *DeviceModel
+	Pages []Page
+	// Configs is the configuration corpus Options.Validate checks; runs
+	// without it skip empirical validation.
+	Configs []ConfigFile
+	// Device is the acceptor Options.LiveTest runs against. Each run
+	// tests a CloneFresh of it, so runs never share a running
+	// configuration; nil builds one from Model per run.
+	Device *Device
+}
+
+// GenerateInputs generates one vendor's synthetic inputs at scale: its
+// ground-truth model and manual, plus, when configs is set and the paper
+// has a corpus for the vendor, its configuration files.
+func GenerateInputs(vendor string, scale float64, configs bool) (*Inputs, error) {
+	m, err := SyntheticModel(vendor, scale)
+	if err != nil {
+		return nil, err
+	}
+	in := &Inputs{Model: m, Pages: SyntheticManual(m)}
+	if configs {
+		in.Configs, _ = SyntheticConfigs(m, scale)
+	}
+	return in, nil
+}
+
+// AssimilateInputs runs the pipeline over already-generated inputs, one
+// engine job per vendor, with Options as for Assimilate: its Vendors are
+// ignored (the inputs name theirs) and its Scale is only reported.
+func AssimilateInputs(ctx context.Context, opts Options, inputs []*Inputs) (*Result, error) {
 	eng, err := pipeline.New(pipeline.Config{
 		Workers: opts.Workers, Store: storeOrNil(opts.Cache),
 		CacheDir: opts.CacheDir, StageHook: opts.StageHook,
@@ -170,26 +204,26 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]pipeline.Job, len(models))
+	jobs := make([]pipeline.Job, len(inputs))
 	// closers tears down the per-vendor chaos transports (server + client)
 	// once the run is over.
 	var closers []func()
-	for i, m := range models {
+	for i, in := range inputs {
+		m := in.Model
 		job := pipeline.Job{
 			Vendor: string(m.Vendor),
-			Pages:  SyntheticManual(m),
+			Pages:  in.Pages,
 			Correct: func(flagged []vdm.InvalidCLI) []Correction {
 				return ExpertCorrections(m, flagged)
 			},
 		}
 		if opts.Validate {
-			if files, ok := SyntheticConfigs(m, opts.Scale); ok {
-				job.ConfigFiles = files
-			}
+			job.ConfigFiles = in.Configs
 		}
 		if opts.LiveTest {
-			dev, err := NewDevice(m)
+			dev, err := in.device()
 			if err != nil {
+				closeAll(closers)
 				return nil, err
 			}
 			if opts.Chaos != nil {
@@ -236,8 +270,8 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 			Validate: opts.Validate, LiveTest: opts.LiveTest,
 			Chaos: opts.Chaos != nil, LiveFailureBudget: opts.LiveFailureBudget,
 		}
-		for _, m := range models {
-			info.Vendors = append(info.Vendors, string(m.Vendor))
+		for _, in := range inputs {
+			info.Vendors = append(info.Vendors, string(in.Model.Vendor))
 		}
 		res.Report = collector.Build(info, jrs)
 		telemetry.SetLastRun(res.Report)
@@ -255,7 +289,7 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 			continue
 		}
 		res.Results[i] = &AssimilationResult{
-			Model: models[i],
+			Model: inputs[i].Model,
 			Parsed: &ParseResult{Corpora: jr.Corpora, Hierarchy: jr.Hierarchy,
 				Completeness: jr.Completeness},
 			VDM:                  jr.VDM,
@@ -269,9 +303,19 @@ func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) 
 			DegradedStages:       jr.DegradedStages,
 			PagesHash:            jr.PagesHash,
 			ConfigHash:           jr.ConfigHash,
+			HierarchyKey:         jr.Keys[pipeline.StageDeriveHierarchy],
 		}
 	}
 	return res, runErr
+}
+
+// device returns the device a live-testing run talks to: a fresh clone of
+// the shared acceptor, or a new device when there is none.
+func (in *Inputs) device() (*Device, error) {
+	if in.Device != nil {
+		return in.Device.CloneFresh(), nil
+	}
+	return NewDevice(in.Model)
 }
 
 func closeAll(closers []func()) {

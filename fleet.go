@@ -85,9 +85,6 @@ func NewFleetReconciler(ctx context.Context, cfg ReconcilerConfig) (*FleetReconc
 // FleetScenarios lists the chaos scenario library in presentation order.
 func FleetScenarios() []FleetScenario { return reconciler.Scenarios() }
 
-// FleetScenarioNames lists the library's names, sorted.
-func FleetScenarioNames() []string { return reconciler.ScenarioNames() }
-
 // FleetScenarioByName resolves a named scenario; unknown names return an
 // error listing the valid set.
 func FleetScenarioByName(name string) (FleetScenario, error) {

@@ -151,6 +151,12 @@ const (
 	maxLineBytes = 1 << 20
 	// maxDataPresize caps the dump slice presized from a DATA header.
 	maxDataPresize = 1024
+	// maxDumpLines caps the lines a DATA header may announce and
+	// maxDumpBytes the dump's total line bytes, newlines included. The
+	// largest paper-scale readback, Nokia's running configuration at the
+	// end of live testing, is 31 852 lines and 706 764 bytes.
+	maxDumpLines = 1 << 20
+	maxDumpBytes = 16 << 20
 )
 
 // Transport timeouts applied when the caller supplies no deadline of its
@@ -285,16 +291,21 @@ func (c *Client) exec(line string) (Response, error) {
 		return Response{OK: false, Msg: strings.TrimPrefix(status, "ERR "), Depth: -1}, nil
 	case strings.HasPrefix(status, "DATA "):
 		n, err := strconv.Atoi(strings.TrimPrefix(status, "DATA "))
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > maxDumpLines {
 			return Response{}, fmt.Errorf("device: bad DATA header %q: %w", status, ErrProtocol)
 		}
 		// n comes from the device: presize from it only up to a small
-		// bound and let the arriving lines grow the slice.
+		// bound and let the arriving lines grow the slice, up to
+		// maxDumpBytes in all.
 		data := make([]string, 0, min(n, maxDataPresize))
+		size := 0
 		for i := 0; i < n; i++ {
 			line, err := c.readLine()
 			if err != nil {
 				return Response{}, fmt.Errorf("device: reading dump line %d: %w", i, err)
+			}
+			if size += len(line) + 1; size > maxDumpBytes {
+				return Response{}, fmt.Errorf("device: dump over %d bytes: %w", maxDumpBytes, ErrProtocol)
 			}
 			data = append(data, line)
 		}

@@ -18,6 +18,13 @@ import (
 // client and waits for the stand-in to exit.
 func fakeDevice(tb testing.TB, reply []byte) (*Client, func()) {
 	tb.Helper()
+	return fakeDeviceFunc(tb, func(w io.Writer) { w.Write(reply) })
+}
+
+// fakeDeviceFunc is fakeDevice with the reply written by reply, which
+// must return once a write fails.
+func fakeDeviceFunc(tb testing.TB, reply func(w io.Writer)) (*Client, func()) {
+	tb.Helper()
 	dev, conn := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -29,7 +36,7 @@ func fakeDevice(tb testing.TB, reply []byte) (*Client, func()) {
 		if _, err := bufio.NewReader(dev).ReadString('\n'); err != nil {
 			return
 		}
-		dev.Write(reply)
+		reply(dev)
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -41,17 +48,42 @@ func fakeDevice(tb testing.TB, reply []byte) (*Client, func()) {
 	return cl, func() { cl.Close(); <-done }
 }
 
-// TestClientBoundsDeviceReplies: a reply line past the line limit is
-// ErrProtocol, not a buffer grown to whatever the device sends. (A huge
+// TestClientBoundsDeviceReplies: a reply past a bound is ErrProtocol,
+// not a buffer grown to whatever the device sends. The bounds are a
+// line's length, a dump's line count and a dump's total bytes. (A huge
 // DATA header is a FuzzClientExec seed, which every go test runs.)
 func TestClientBoundsDeviceReplies(t *testing.T) {
-	cl, wait := fakeDevice(t, []byte("ERR "+strings.Repeat("x", maxLineBytes)+"\n"))
-	defer wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := cl.ExecContext(ctx, "display current-configuration")
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("err = %v (%d data lines), want ErrProtocol", err, len(resp.Data))
+	for _, tc := range []struct {
+		name  string
+		reply func(w io.Writer)
+	}{
+		{"line", func(w io.Writer) {
+			io.WriteString(w, "ERR "+strings.Repeat("x", maxLineBytes)+"\n")
+		}},
+		{"lines", func(w io.Writer) {
+			io.WriteString(w, "DATA "+strconv.Itoa(maxDumpLines+1)+"\n"+strings.Repeat("\n", maxDumpLines+1))
+		}},
+		{"bytes", func(w io.Writer) {
+			line := []byte(strings.Repeat("x", 64<<10-1) + "\n")
+			n := 2 * maxDumpBytes / len(line)
+			io.WriteString(w, "DATA "+strconv.Itoa(n)+"\n")
+			for i := 0; i < n; i++ {
+				if _, err := w.Write(line); err != nil {
+					return
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, wait := fakeDeviceFunc(t, tc.reply)
+			defer wait()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, err := cl.ExecContext(ctx, "display current-configuration")
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("err = %v (%d data lines), want ErrProtocol", err, len(resp.Data))
+			}
+		})
 	}
 }
 

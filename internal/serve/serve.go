@@ -8,8 +8,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -30,7 +32,8 @@ type Request struct {
 	// Vendors to assimilate, in pipeline order; empty means the built-in
 	// vendor set in Table 4 order.
 	Vendors []string `json:"vendors,omitempty"`
-	// Scale is the synthetic corpus scale; <= 0 defaults to 0.1.
+	// Scale is the synthetic corpus scale; <= 0 defaults to 0.1, and a
+	// non-finite scale is rejected.
 	Scale float64 `json:"scale,omitempty"`
 	// Validate and LiveTest enable the corresponding pipeline stages.
 	Validate bool `json:"validate,omitempty"`
@@ -86,8 +89,8 @@ func (r Request) Check() error {
 			return fmt.Errorf("serve: unknown vendor %q (have %v)", v, have)
 		}
 	}
-	if n.Scale > 1.0 {
-		return fmt.Errorf("serve: scale %v out of range (0, 1]", n.Scale)
+	if math.IsNaN(r.Scale) || math.IsInf(r.Scale, 0) || n.Scale > 1.0 {
+		return fmt.Errorf("serve: scale %v out of range (0, 1]", r.Scale)
 	}
 	return nil
 }
@@ -115,7 +118,8 @@ type VendorResult struct {
 	LiveVerified int `json:"live_verified,omitempty"`
 	// Degraded lists stages that yielded partial artifacts, by name.
 	Degraded []string `json:"degraded,omitempty"`
-	// VDM is the vendor's complete derived model document.
+	// VDM is the vendor's complete derived model document, indented for
+	// its place in the response.
 	VDM json.RawMessage `json:"vdm"`
 }
 
@@ -131,19 +135,43 @@ type Response struct {
 	Vendors []VendorResult `json:"vendors"`
 }
 
+// vdmPrefix indents a VDM document for its place in the response: the
+// envelope, the vendors array and the vendor object put its lines three
+// levels deep.
+const vdmPrefix = "      "
+
 // BuildResponse assembles the deterministic response document from a
-// completed run's per-vendor results (in request order).
+// completed run's per-vendor results (in request order). Each VDM is
+// rendered already indented for its place in the response, which is what
+// EncodeResponse splices in.
 func BuildResponse(req Request, results []*nassim.AssimilationResult) (*Response, error) {
+	return buildResponse(req, results, func(_ int, r *nassim.AssimilationResult) (json.RawMessage, error) {
+		return renderVDM(r)
+	})
+}
+
+// renderVDM renders a result's VDM for its place in the response.
+func renderVDM(r *nassim.AssimilationResult) (json.RawMessage, error) {
+	b, err := r.VDM.MarshalIndent(vdmPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("serve: marshal %s VDM: %w", r.Model.Vendor, err)
+	}
+	return b, nil
+}
+
+// buildResponse is BuildResponse taking result i's rendered VDM from doc.
+func buildResponse(req Request, results []*nassim.AssimilationResult,
+	doc func(i int, r *nassim.AssimilationResult) (json.RawMessage, error)) (*Response, error) {
 	n := req.Normalize()
 	n.Tenant = ""
 	resp := &Response{Schema: ResponseSchema, Key: req.Key(), Request: n}
-	for _, r := range results {
+	for i, r := range results {
 		if r == nil {
 			return nil, fmt.Errorf("serve: missing vendor result")
 		}
-		vdmBytes, err := nassim.MarshalVDM(r.VDM)
+		vdmDoc, err := doc(i, r)
 		if err != nil {
-			return nil, fmt.Errorf("serve: marshal %s VDM: %w", r.Model.Vendor, err)
+			return nil, err
 		}
 		vr := VendorResult{
 			Vendor:      string(r.Model.Vendor),
@@ -153,6 +181,7 @@ func BuildResponse(req Request, results []*nassim.AssimilationResult) (*Response
 			Views:       len(r.VDM.Views),
 			InvalidCLIs: r.PreCorrectionInvalid,
 			Corrected:   r.CorrectionsApplied,
+			VDM:         vdmDoc,
 		}
 		if r.Empirical != nil {
 			vr.ConfigFiles = r.Empirical.Files
@@ -167,24 +196,55 @@ func BuildResponse(req Request, results []*nassim.AssimilationResult) (*Response
 			vr.Degraded = append(vr.Degraded, string(st))
 		}
 		sort.Strings(vr.Degraded)
-		vr.VDM = vdmBytes
 		resp.Vendors = append(resp.Vendors, vr)
 	}
 	return resp, nil
 }
 
+// While EncodeResponse encodes the envelope, each vendor's "vdm" field
+// holds a 0 in place of its document. Only VendorResult has a "vdm" key,
+// and a JSON string cannot hold vdmSlot's bytes unescaped, so they only
+// ever mark such a field.
+const vdmKey = `"vdm": `
+
+var vdmSlot = []byte(vdmKey + "0")
+
 var responseEncodes atomic.Int64
 
 // EncodeResponse renders the response as indented JSON with a trailing
-// newline. Every call increments the ResponseEncodes counter, so tests
-// can assert the warm served path performs zero encodes.
+// newline. Only the envelope is encoded: each VDM document is spliced into
+// its slot verbatim, so it must already be indented for its place, as
+// BuildResponse renders it. Every call increments the ResponseEncodes
+// counter, so tests can assert the warm served path performs zero
+// encodes.
 func EncodeResponse(r *Response) ([]byte, error) {
 	responseEncodes.Add(1)
-	data, err := json.MarshalIndent(r, "", "  ")
+	env := *r
+	env.Vendors = make([]VendorResult, len(r.Vendors))
+	size := 0
+	for i, v := range r.Vendors {
+		size += len(v.VDM)
+		v.VDM = json.RawMessage("0")
+		env.Vendors[i] = v
+	}
+	data, err := json.MarshalIndent(&env, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	out := make([]byte, 0, len(data)+size+1)
+	for _, v := range r.Vendors {
+		doc := v.VDM
+		if len(doc) == 0 {
+			doc = json.RawMessage("null")
+		}
+		before, after, _ := bytes.Cut(data, vdmSlot)
+		out = append(out, before...)
+		out = append(out, vdmKey...)
+		out = append(out, doc...)
+		data = after
+	}
+	out = append(out, data...)
+	return append(out, '\n'), nil
 }
 
 // ResponseEncodes counts EncodeResponse calls process-wide. A warm

@@ -48,7 +48,7 @@ type StageObserver func(vendor, stage string) func()
 
 // Runner executes one normalized request and returns the encoded
 // response document. The default runner (NewRunner) drives
-// nassim.Assimilate; tests substitute counting or blocking runners.
+// nassim.AssimilateInputs; tests substitute counting or blocking runners.
 type Runner func(ctx context.Context, req Request, observe StageObserver) ([]byte, error)
 
 // Config tunes a Server. The zero value serves with 2 workers, a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -426,8 +427,10 @@ func TestRequestCheck(t *testing.T) {
 	if err := (Request{Vendors: []string{"NoSuchVendor"}}).Check(); err == nil {
 		t.Error("unknown vendor passed Check")
 	}
-	if err := (Request{Scale: 2.0}).Check(); err == nil {
-		t.Error("out-of-range scale passed Check")
+	for _, scale := range []float64{2.0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Request{Scale: scale}).Check(); err == nil {
+			t.Errorf("scale %v passed Check", scale)
+		}
 	}
 	if err := (Request{Vendors: []string{"Juniper"}, Scale: 0.02}).Check(); err != nil {
 		t.Errorf("valid request rejected: %v", err)

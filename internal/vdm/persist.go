@@ -24,7 +24,12 @@ type persisted struct {
 // Marshal serializes a validated VDM (including the derived hierarchy) to
 // JSON, so an assimilation run's output can be stored and reloaded without
 // re-deriving.
-func (v *VDM) Marshal() ([]byte, error) {
+func (v *VDM) Marshal() ([]byte, error) { return v.MarshalIndent("") }
+
+// MarshalIndent is Marshal for a document embedded in a larger indented
+// JSON document: every line after the first begins with prefix, so the
+// bytes are the ones json.Indent would give the document at that depth.
+func (v *VDM) MarshalIndent(prefix string) ([]byte, error) {
 	p := persisted{
 		Vendor:      v.Vendor,
 		RootView:    v.RootView,
@@ -39,7 +44,7 @@ func (v *VDM) Marshal() ([]byte, error) {
 		}
 		p.Corpora = append(p.Corpora, raw)
 	}
-	return json.MarshalIndent(&p, "", "  ")
+	return json.MarshalIndent(&p, prefix, "  ")
 }
 
 // Unmarshal reloads a persisted VDM and rebuilds its template index.

@@ -50,10 +50,6 @@ func ServeTelemetry(addr string) (*TelemetryServer, error) { return telemetry.Se
 // exposition format.
 func WriteMetrics(w io.Writer) (int64, error) { return telemetry.Default().WriteTo(w) }
 
-// MetricsSnapshot flattens the registry into name{labels} -> value
-// (histograms contribute _count, _sum and _avg entries).
-func MetricsSnapshot() map[string]float64 { return telemetry.Default().FlatSnapshot() }
-
 // EnableTracing installs a span recorder with the given ring-buffer
 // capacity; pipeline stages start recording spans immediately.
 func EnableTracing(capacity int) { telemetry.EnableTracing(capacity) }

@@ -185,6 +185,9 @@ type AssimilationResult struct {
 	// what was assimilated.
 	PagesHash  string
 	ConfigHash string
+	// HierarchyKey is the content-hash key of the hierarchy artifact VDM
+	// came from: two results with the same key carry the same VDM.
+	HierarchyKey string
 }
 
 // Degraded reports whether any stage of this vendor's run produced a
