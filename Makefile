@@ -36,8 +36,9 @@ bench:
 # own direction and gate (see internal/benchdiff) — into BENCH_DIR.
 BENCH_DIR ?= .
 
-# Engine benchmark: four vendors through the 4-worker pipeline; per-stage
-# and run wall time.
+# Engine benchmark: four vendors through the 4-worker pipeline; the
+# engine's own per-stage wall time (AssimilationResult.StageElapsed) and
+# the run's wall time.
 bench-pipeline:
 	NASSIM_BENCH_DIR=$(BENCH_DIR) $(GO) test -run xxx -bench BenchmarkAssimilateParallel -benchtime 1x .
 
@@ -67,8 +68,9 @@ bench-reconcile:
 	NASSIM_BENCH_DIR=$(BENCH_DIR) $(GO) test -run '^$$' \
 		-bench BenchmarkReconcileFleet -benchtime 5x .
 
-# Per-stage pipeline timing plus the metric registry, and the run
-# manifest (see README Observability).
+# The engine's per-stage times, the three non-engine calls evalbench
+# times itself (mapper fine-tune and recommendation, controller intent),
+# the metric registry, and the run manifest (see README Observability).
 bench-telemetry:
 	$(GO) run ./cmd/evalbench -stages -scale 0.1 -telemetry-out $(BENCH_DIR)/BENCH_telemetry.json \
 		-manifest-out $(BENCH_DIR)/RUN_MANIFEST.json

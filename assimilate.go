@@ -29,18 +29,10 @@ type (
 	// PipelineStats aggregates stage outcomes (runs vs cache hits) over
 	// one Assimilate call.
 	PipelineStats = pipeline.RunStats
-	// StageTimer accumulates per-stage wall time across runs.
-	StageTimer = telemetry.StageTimer
 )
 
 // NewPipelineCache returns an empty shareable artifact cache.
 func NewPipelineCache() *PipelineCache { return pipeline.NewMemStore() }
-
-// NewStageTimer returns an empty stage timer. Feed it through
-// Options.StageHook to time executed stages:
-//
-//	StageHook: func(_ string, s PipelineStage) func() { return timer.Start(string(s)) }
-func NewStageTimer() *StageTimer { return telemetry.NewStageTimer() }
 
 // PipelineStages lists the engine's stages in execution order.
 func PipelineStages() []PipelineStage { return pipeline.Stages() }
@@ -94,11 +86,12 @@ type Options struct {
 	// StageHook observes actual stage executions (cache hits never fire
 	// it): it is called immediately before a stage executes and the
 	// returned func — which may be nil — runs when the execution
-	// finishes, so the hook brackets the stage's whole run. Stage timers
-	// (StageTimer.Start), the pprof flight recorder behind `nassim run
-	// -profile-stages`, and the serving daemon's live progress stream all
-	// attach here. The hook is called from the engine's worker goroutines,
-	// so it must be safe for concurrent use.
+	// finishes, so the hook brackets the stage's whole run. The pprof
+	// flight recorder behind `nassim run -profile-stages` and the serving
+	// daemon's live progress stream attach here; stage times are
+	// AssimilationResult.StageElapsed, measured inside the bracket. The
+	// hook is called from the engine's worker goroutines, so it must be
+	// safe for concurrent use.
 	StageHook func(vendor string, stage PipelineStage) func()
 }
 
@@ -300,6 +293,7 @@ func AssimilateInputs(ctx context.Context, opts Options, inputs []*Inputs) (*Res
 			Live:                 jr.Live,
 			StagesRun:            jr.Ran,
 			StagesSkipped:        jr.Skipped,
+			StageElapsed:         jr.StageElapsed,
 			DegradedStages:       jr.DegradedStages,
 			PagesHash:            jr.PagesHash,
 			ConfigHash:           jr.ConfigHash,

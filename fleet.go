@@ -82,9 +82,6 @@ func NewFleetReconciler(ctx context.Context, cfg ReconcilerConfig) (*FleetReconc
 	return reconciler.New(ctx, cfg)
 }
 
-// FleetScenarios lists the chaos scenario library in presentation order.
-func FleetScenarios() []FleetScenario { return reconciler.Scenarios() }
-
 // FleetScenarioByName resolves a named scenario; unknown names return an
 // error listing the valid set.
 func FleetScenarioByName(name string) (FleetScenario, error) {

@@ -152,7 +152,7 @@ func BenchmarkParseAll(b *testing.B) {
 			}
 			if util, ok := acc.Utilization(); ok {
 				b.ReportMetric(util, "utilization")
-				recordFrontendRow(utilizationRow(telemetry.UtilizationKey(telemetry.StageParse, variant.workers), util))
+				recordFrontendRow(utilizationRow(telemetry.UtilizationKey(string(pipeline.StageParse), variant.workers), util))
 			}
 			exportFrontendBench(b, "ParseAll/"+variant.name)
 		})

@@ -42,8 +42,11 @@ type Edge struct {
 	Child  string
 }
 
-// Report summarizes one derivation run, including the timing split the
-// paper reports (~84% of hierarchy time goes to CGM construction).
+// Report summarizes one derivation run. It is a function of the run's
+// inputs: the pipeline caches it on disk, so it holds no durations. The
+// timing split the paper reports (~84% of hierarchy time goes to CGM
+// construction) is in the nassim_hierarchy_{cgm_build,derive}_seconds
+// histograms.
 type Report struct {
 	RootView        string
 	InvalidCLIs     int
@@ -51,26 +54,23 @@ type Report struct {
 	WeakVotes       int
 	AmbiguousViews  []string
 	UnresolvedViews []string // views left without an enter command
-	CGMBuildTime    time.Duration
-	DeriveTime      time.Duration
 }
 
 // String implements fmt.Stringer.
 func (r *Report) String() string {
-	return fmt.Sprintf("root=%q invalid=%d strong=%d weak=%d ambiguous=%d unresolved=%d cgm=%v derive=%v",
+	return fmt.Sprintf("root=%q invalid=%d strong=%d weak=%d ambiguous=%d unresolved=%d",
 		r.RootView, r.InvalidCLIs, r.StrongVotes, r.WeakVotes,
-		len(r.AmbiguousViews), len(r.UnresolvedViews), r.CGMBuildTime, r.DeriveTime)
+		len(r.AmbiguousViews), len(r.UnresolvedViews))
 }
 
 // ValidateSyntax runs the formal syntax validation + CGM construction
 // stage alone (§5.1, the dominant cost in Table 4's construction time):
 // every primary CLI template is checked against the vendor-independent
 // syntax and compiled into a CLI graph model. It returns the populated CGM
-// index, the rejected templates, and the stage's wall time. The context is
-// polled between templates; on cancellation the partial results so far are
-// returned and ctx.Err() tells the caller the stage did not finish.
-func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus, typeOf cgm.TypeResolver) (*cgm.Index, []vdm.InvalidCLI, time.Duration) {
-	start := time.Now()
+// index and the rejected templates. The context is polled between
+// templates; on cancellation the partial results so far are returned and
+// ctx.Err() tells the caller the stage did not finish.
+func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus, typeOf cgm.TypeResolver) (*cgm.Index, []vdm.InvalidCLI) {
 	idx := cgm.NewIndex()
 	var invalid []vdm.InvalidCLI
 	for i := range corpora {
@@ -85,7 +85,7 @@ func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus,
 			invalid = append(invalid, toInvalid(i, tmpl, err))
 		}
 	}
-	return idx, invalid, time.Since(start)
+	return idx, invalid
 }
 
 // Derive builds the validated VDM from a parsed corpus batch. explicit
@@ -99,7 +99,9 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 	defer span.End()
 
 	// Stage 1: formal syntax validation + CGM construction.
-	idx, invalid, cgmTime := ValidateSyntax(ctx, vendor, corpora, typeOf)
+	start := time.Now()
+	idx, invalid := ValidateSyntax(ctx, vendor, corpora, typeOf)
+	cgmTime := time.Since(start)
 	v := &vdm.VDM{
 		Vendor:      vendor,
 		Corpora:     corpora,
@@ -107,10 +109,10 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 		Index:       idx,
 		InvalidCLIs: invalid,
 	}
-	rep := &Report{InvalidCLIs: len(invalid), CGMBuildTime: cgmTime}
+	rep := &Report{InvalidCLIs: len(invalid)}
 
 	// Stage 2: view universe and CLI-View pairs, straight from the corpus.
-	start := time.Now()
+	start = time.Now()
 	for i := range corpora {
 		if i&0xff == 0 && ctx.Err() != nil {
 			break
@@ -128,11 +130,11 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 	} else {
 		deriveFromExamples(v, rep)
 	}
-	rep.DeriveTime = time.Since(start)
+	deriveTime := time.Since(start)
 	rep.AmbiguousViews = v.AmbiguousViews()
 
-	telemetry.GetHistogram("nassim_hierarchy_cgm_build_seconds", nil, "vendor", vendor).ObserveDuration(rep.CGMBuildTime)
-	telemetry.GetHistogram("nassim_hierarchy_derive_seconds", nil, "vendor", vendor).ObserveDuration(rep.DeriveTime)
+	telemetry.GetHistogram("nassim_hierarchy_cgm_build_seconds", nil, "vendor", vendor).ObserveDuration(cgmTime)
+	telemetry.GetHistogram("nassim_hierarchy_derive_seconds", nil, "vendor", vendor).ObserveDuration(deriveTime)
 	telemetry.GetCounter("nassim_hierarchy_votes_total", "kind", "strong").Add(int64(rep.StrongVotes))
 	telemetry.GetCounter("nassim_hierarchy_votes_total", "kind", "weak").Add(int64(rep.WeakVotes))
 	telemetry.GetCounter("nassim_hierarchy_invalid_clis_total", "vendor", vendor).Add(int64(rep.InvalidCLIs))
@@ -140,7 +142,7 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 		"vendor", vendor, "root", rep.RootView, "invalid", rep.InvalidCLIs,
 		"strong", rep.StrongVotes, "weak", rep.WeakVotes,
 		"ambiguous", len(rep.AmbiguousViews), "unresolved", len(rep.UnresolvedViews),
-		"cgm_build", rep.CGMBuildTime, "derive", rep.DeriveTime)
+		"cgm_build", cgmTime, "derive", deriveTime)
 	return v, rep
 }
 

@@ -6,12 +6,13 @@ import (
 )
 
 // Arena is the production DOM builder, built for high-throughput page
-// streams. Where the reference builder (ParseReference) allocates every
-// Node and Children slice individually — the dominant GC pressure of a
-// manual-batch parse — an Arena lays all nodes of a page out in one
-// reusable slab, links children through one shared pointer slab, and
-// keeps its tokenizer (scratch buffer, attribute slab) across pages,
-// consuming tokens as they are produced instead of buffering them.
+// streams. Where the reference builder (ParseReference, in
+// reference_test.go) allocates every Node and Children slice
+// individually — the dominant GC pressure of a manual-batch parse — an
+// Arena lays all nodes of a page out in one reusable slab, links children
+// through one shared pointer slab, and keeps its tokenizer (scratch
+// buffer, attribute slab) across pages, consuming tokens as they are
+// produced instead of buffering them.
 // Parsing N pages through one Arena performs O(1) slab allocations once
 // the slabs have grown to the largest page.
 //
@@ -89,10 +90,10 @@ func (a *Arena) Parse(src []byte) *Node {
 }
 
 // buildNodes streams tokens straight into the node slab, running the
-// exact buildDOM tree-construction algorithm — implied end tags,
-// stray-close tolerance, class caching — and recording each node's
-// parent by index. No pointers are taken yet, so slab growth is free to
-// reallocate.
+// exact tree-construction algorithm of the reference buildDOM
+// (reference_test.go) — implied end tags, stray-close tolerance, class
+// caching — and recording each node's parent by index. No pointers are
+// taken yet, so slab growth is free to reallocate.
 func (a *Arena) buildNodes() {
 	a.nodes = append(a.nodes[:0], Node{Type: DocumentNode})
 	a.parent = append(a.parent[:0], -1)
@@ -155,9 +156,10 @@ func (a *Arena) buildNodes() {
 	a.stack = stack[:0]
 }
 
-// setClasses is the arena's cacheClasses: same observable result, but
-// the split-and-intern work runs once per distinct class attribute value
-// instead of once per element. The class attribute value is already
+// setClasses is the arena's form of the reference builder's cacheClasses
+// (reference_test.go): same observable result, but the split-and-intern
+// work runs once per distinct class attribute value instead of once per
+// element. The class attribute value is already
 // canonical (attrValue interns it), so it is a stable cache key.
 func (a *Arena) setClasses(n *Node) {
 	n.classesSet = true

@@ -57,21 +57,6 @@ func (n *Node) Classes() []string {
 	return strings.Fields(v)
 }
 
-// cacheClasses splits the class attribute once at parse time, interning
-// each class token so equal class lists across nodes share storage.
-func (n *Node) cacheClasses(pool interner) {
-	n.classesSet = true
-	v, ok := n.Attr("class")
-	if !ok || v == "" {
-		return
-	}
-	fields := strings.Fields(v)
-	for i, f := range fields {
-		fields[i] = pool.InternString(f)
-	}
-	n.classes = fields
-}
-
 // HasClass reports whether the element carries the given CSS class.
 func (n *Node) HasClass(class string) bool {
 	for _, c := range n.Classes() {
@@ -321,70 +306,4 @@ func Parse(src string) *Node {
 // to call concurrently; workers of a parallel manual parse share one pool.
 func ParseBytes(src []byte, pool *Intern) *Node {
 	return NewArena(pool).Parse(src)
-}
-
-// ParseReference builds the DOM through the string Tokenizer with every
-// node individually allocated. It is the reference the golden and fuzz
-// tests hold the production builder (Arena) equal to; nothing else calls
-// it.
-func ParseReference(src string) *Node {
-	return buildDOM(NewTokenizer(src))
-}
-
-func buildDOM(z *Tokenizer) *Node {
-	doc := &Node{Type: DocumentNode}
-	stack := []*Node{doc}
-	top := func() *Node { return stack[len(stack)-1] }
-
-	for {
-		tok, ok := z.Next()
-		if !ok {
-			break
-		}
-		switch tok.Type {
-		case TextToken:
-			if tok.Data == "" {
-				continue
-			}
-			top().Children = append(top().Children, &Node{Type: TextNode, Data: tok.Data, Parent: top()})
-		case CommentToken:
-			top().Children = append(top().Children, &Node{Type: CommentNode, Data: tok.Data, Parent: top()})
-		case DoctypeToken:
-			// Ignored: the DOM does not model doctypes.
-		case SelfClosingToken:
-			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			el.cacheClasses(defaultIntern)
-			top().Children = append(top().Children, el)
-		case StartTagToken:
-			if closes, ok := impliedEndTags[tok.Data]; ok {
-				for len(stack) > 1 {
-					t := top().Tag
-					closed := false
-					for _, c := range closes {
-						if t == c {
-							stack = stack[:len(stack)-1]
-							closed = true
-							break
-						}
-					}
-					if !closed {
-						break
-					}
-				}
-			}
-			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			el.cacheClasses(defaultIntern)
-			top().Children = append(top().Children, el)
-			stack = append(stack, el)
-		case EndTagToken:
-			// Pop to the nearest matching open element; ignore stray closes.
-			for i := len(stack) - 1; i >= 1; i-- {
-				if stack[i].Tag == tok.Data {
-					stack = stack[:i]
-					break
-				}
-			}
-		}
-	}
-	return doc
 }

@@ -5,15 +5,16 @@ import (
 	"strings"
 )
 
-// ByteTokenizer is the single-pass, []byte-backed twin of Tokenizer. It
-// produces the exact same token stream (a fuzz test holds the two
-// equivalent) while eliminating the per-token string churn of the string
-// path: tag names, attribute keys and class attribute values are funneled
-// through an interning pool, attribute structs are carved out of a
-// per-tokenizer slab, and lowercasing goes through a reusable scratch
-// buffer instead of strings.ToLower allocations. One ByteTokenizer must
-// not be shared between goroutines (its scratch state is per-instance);
-// the pool it draws from is concurrency-safe and meant to be shared.
+// ByteTokenizer is the single-pass, []byte-backed twin of the reference
+// Tokenizer in reference_test.go. It produces the exact same token stream
+// (a fuzz test holds the two equivalent) while eliminating the per-token
+// string churn of the string path: tag names, attribute keys and class
+// attribute values are funneled through an interning pool, attribute
+// structs are carved out of a per-tokenizer slab, and lowercasing goes
+// through a reusable scratch buffer instead of strings.ToLower
+// allocations. One ByteTokenizer must not be shared between goroutines
+// (its scratch state is per-instance); the pool it draws from is
+// concurrency-safe and meant to be shared.
 type ByteTokenizer struct {
 	src  []byte
 	pos  int
@@ -129,9 +130,10 @@ func (z *ByteTokenizer) lowerIntern(b []byte) string {
 	return z.fastIntern(z.scratch)
 }
 
-// textData converts a raw text run into token data, mirroring
-// UnescapeEntities. Whitespace-only runs (the indentation between manual
-// markup elements, repeated on every line) are interned.
+// textData converts a raw text run into token data, mirroring the
+// reference UnescapeEntities (reference_test.go). Whitespace-only runs
+// (the indentation between manual markup elements, repeated on every
+// line) are interned.
 func (z *ByteTokenizer) textData(b []byte) string {
 	if bytes.IndexByte(b, '&') < 0 {
 		if isAllSpace(b) {
@@ -164,8 +166,9 @@ func isAllSpace(b []byte) bool {
 	return true
 }
 
-// unescapeEntityBytes is UnescapeEntities over a byte slice, kept
-// byte-for-byte equivalent (the fuzz test compares the two paths).
+// unescapeEntityBytes is the reference UnescapeEntities over a byte
+// slice, kept byte-for-byte equivalent (the fuzz test compares the two
+// paths).
 func unescapeEntityBytes(s []byte) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -363,35 +366,11 @@ func (z *ByteTokenizer) attrValue(key string, raw []byte) string {
 }
 
 // indexFoldASCII returns the first index of needle in haystack under
-// ASCII case folding (needle must already be lowercase ASCII). Both
-// tokenizers use it for raw-text close-tag search, so positions are
+// ASCII case folding (needle must already be lowercase ASCII). The
+// tokenizer uses it for raw-text close-tag search, so positions are
 // byte-accurate even when the swallowed content holds multi-byte runes
 // whose unicode lowercase form has a different length.
 func indexFoldASCII(haystack []byte, needle string) int {
-	if len(needle) == 0 {
-		return 0
-	}
-	first := needle[0]
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if lowerASCII(haystack[i]) != first {
-			continue
-		}
-		ok := true
-		for j := 1; j < len(needle); j++ {
-			if lowerASCII(haystack[i+j]) != needle[j] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
-
-// indexFoldASCIIString is indexFoldASCII over a string haystack.
-func indexFoldASCIIString(haystack, needle string) int {
 	if len(needle) == 0 {
 		return 0
 	}

@@ -298,13 +298,15 @@ func TestVendorConstraintInValidate(t *testing.T) {
 }
 
 // referenceParse is the test-side oracle for Parse: the vendor
-// parsing() over htmlparse.ParseReference's individually allocated DOM,
-// one page at a time, with explicit edges deduplicated in page order.
+// parsing() over a fresh DOM per page (htmlparse.Parse), one page at a
+// time, with explicit edges deduplicated in page order. htmlparse's
+// TestArenaMatchesReferenceOnManuals holds those DOMs equal to its
+// reference builder on the same manuals.
 func referenceParse(p *Parser, pages []Page) *Result {
 	res := &Result{}
 	seen := map[ViewEdge]bool{}
 	for _, pg := range pages {
-		c, edges := p.parsePage(htmlparse.ParseReference(pg.HTML))
+		c, edges := p.parsePage(htmlparse.Parse(pg.HTML))
 		c.Vendor = p.vendor
 		c.SourceURL = pg.URL
 		res.Corpora = append(res.Corpora, c)

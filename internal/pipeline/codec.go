@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"nassim/internal/artifact"
 	"nassim/internal/corpus"
@@ -93,13 +92,15 @@ func (parseBinaryCodec) Decode(data []byte) (*parseArtifact, error) {
 
 // deriveBinaryCodec stores the DeriveHierarchy stage's output — the
 // validated VDM including its compiled CGM index — so a warm start skips
-// JSON parsing, template parsing, and FSM construction alike.
+// JSON parsing, template parsing, and FSM construction alike. It stores
+// no durations: the bytes are a function of the artifact key, so two cold
+// runs write the same file.
 type deriveBinaryCodec struct{}
 
-func (deriveBinaryCodec) Version() string { return "derive.v1.art" }
+func (deriveBinaryCodec) Version() string { return "derive.v2.art" }
 
 func (deriveBinaryCodec) Encode(a *deriveArtifact) ([]byte, error) {
-	w := artifact.NewWriter("derive/v1")
+	w := artifact.NewWriter("derive/v2")
 	a.VDM.AppendBinary(w.Section("vdm"))
 	re := w.Section("report")
 	if a.Report == nil {
@@ -118,14 +119,12 @@ func (deriveBinaryCodec) Encode(a *deriveArtifact) ([]byte, error) {
 		for _, s := range a.Report.UnresolvedViews {
 			re.String(s)
 		}
-		re.Int(int64(a.Report.CGMBuildTime))
-		re.Int(int64(a.Report.DeriveTime))
 	}
 	return w.Bytes(), nil
 }
 
 func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
-	r, err := artifact.OpenSchema(data, "derive/v1")
+	r, err := artifact.OpenSchema(data, "derive/v2")
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +160,6 @@ func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
 				rep.UnresolvedViews[i] = rd.String()
 			}
 		}
-		rep.CGMBuildTime = time.Duration(rd.Int())
-		rep.DeriveTime = time.Duration(rd.Int())
 		a.Report = rep
 	}
 	if err := rd.Err(); err != nil {

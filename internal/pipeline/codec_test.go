@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -261,13 +262,12 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 		}
 	}
 
-	// The derive artifact is left out: it records build times, so a re-run
-	// cannot restore its bytes.
 	mirrored := []struct {
 		stage   Stage
 		version string
 	}{
 		{StageParse, parseCodec.Version()},
+		{StageDeriveHierarchy, deriveCodec.Version()},
 		{StageEmpiricalValidate, empC.Version()},
 		{StageMapToUDM, mapC.Version()},
 	}
@@ -323,6 +323,58 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 			return out
 		})
 	})
+}
+
+// TestColdMirrorsByteIdentical: a stored artifact is a function of its
+// key. One job that exercises all four disk codecs, run cold into two
+// fresh mirrors, writes the same file names with the same bytes.
+func TestColdMirrorsByteIdentical(t *testing.T) {
+	job := fullJob(t, devmodel.H3C, 0.02)
+	mirror := func() (string, map[string][sha256.Size]byte) {
+		dir := t.TempDir()
+		eng, err := New(Config{CacheDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(context.Background(), []Job{job}); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := map[string][sha256.Size]byte{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[e.Name()] = sha256.Sum256(data)
+		}
+		return dir, sums
+	}
+	dir, first := mirror()
+	_, second := mirror()
+	for _, version := range []string{parseCodec.Version(), deriveCodec.Version(),
+		empiricalCodec{}.Version(), mapCodec{}.Version()} {
+		if n := len(artifactFiles(t, dir, version)); n != 1 {
+			t.Errorf("mirror holds %d %s files, want 1", n, version)
+		}
+	}
+	for name, sum := range first {
+		other, ok := second[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: written by the first cold run only", name)
+		case other != sum:
+			t.Errorf("%s: bytes differ between two cold runs", name)
+		}
+	}
+	for name := range second {
+		if _, ok := first[name]; !ok {
+			t.Errorf("%s: written by the second cold run only", name)
+		}
+	}
 }
 
 // TestWarmRunDecodesZeroJSON: a warm four-vendor run over a populated

@@ -30,19 +30,20 @@ import (
 )
 
 // Stage names one pipeline stage. The string values double as the stage
-// labels in telemetry (StageTimer tables, BENCH_*.json, metric labels).
+// labels in telemetry (metric labels, the manifest, the stage.* rows of
+// BENCH_*.json).
 type Stage string
 
 // The stage graph, in execution order. Parse through DeriveHierarchy run
 // for every job; the remaining stages run when the job supplies their
 // inputs (config files, a device executor, a mapper).
 const (
-	StageParse             Stage = telemetry.StageParse
-	StageSyntaxValidate    Stage = telemetry.StageSyntaxCGM
-	StageDeriveHierarchy   Stage = telemetry.StageHierarchy
-	StageEmpiricalValidate Stage = telemetry.StageEmpirical
-	StageLiveTest          Stage = telemetry.StageLiveTest
-	StageMapToUDM          Stage = telemetry.StageMapToUDM
+	StageParse             Stage = "parse"
+	StageSyntaxValidate    Stage = "syntax_cgm"
+	StageDeriveHierarchy   Stage = "hierarchy"
+	StageEmpiricalValidate Stage = "empirical"
+	StageLiveTest          Stage = "live_test"
+	StageMapToUDM          Stage = "map_to_udm"
 )
 
 // Stages lists the stage graph in execution order.
@@ -193,7 +194,9 @@ type JobResult struct {
 	// that stage (and, through key chaining, nothing else) to re-run.
 	Keys map[Stage]string
 	// StageElapsed is the wall time of each executed stage (cache-satisfied
-	// stages have no entry: skipped work is skipped).
+	// stages have no entry: skipped work is skipped). runStage measures it
+	// once, inside the stage hook's bracket; the stage histogram and every
+	// stage-time report read this value.
 	StageElapsed map[Stage]time.Duration
 	// Pools reports the intra-stage worker-pool utilization of executed
 	// stages that fan out (Parse over manual pages, EmpiricalValidate over
@@ -285,9 +288,9 @@ type Config struct {
 	// StageHook, when set, observes actual stage executions (cache hits
 	// never fire it). It is called immediately before each execution;
 	// the returned func — which may be nil — runs when the execution
-	// finishes. It is the one way to observe a stage from outside: stage
-	// timers, the obsreport flight recorder's pprof captures, and the
-	// serving daemon's progress stream all attach here.
+	// finishes. The obsreport flight recorder's pprof captures and the
+	// serving daemon's progress stream attach here; a stage's wall time
+	// is JobResult.StageElapsed, measured inside this bracket.
 	StageHook func(vendor string, stage Stage) func()
 }
 
@@ -536,7 +539,7 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	jr.noteKey(StageSyntaxValidate, synKey)
 	invalid, err := runStage(ctx, e, jr, StageSyntaxValidate, synKey, nil,
 		func(ctx context.Context) ([]vdm.InvalidCLI, error) {
-			_, inv, _ := hierarchy.ValidateSyntax(ctx, job.Vendor, pa.Corpora, nil)
+			_, inv := hierarchy.ValidateSyntax(ctx, job.Vendor, pa.Corpora, nil)
 			return inv, nil
 		})
 	if err != nil {

@@ -181,7 +181,7 @@ func TestEngineDiskCacheWarmStart(t *testing.T) {
 	if want := []Stage{StageSyntaxValidate}; !slices.Equal(warm[0].Ran, want) {
 		t.Errorf("warm run executed %v, want %v", warm[0].Ran, want)
 	}
-	want := map[Stage]string{StageParse: "parse.v1.art", StageDeriveHierarchy: "derive.v1.art",
+	want := map[Stage]string{StageParse: "parse.v1.art", StageDeriveHierarchy: "derive.v2.art",
 		StageEmpiricalValidate: "empirical.v1.art", StageMapToUDM: "map.v1.art"}
 	for st, codec := range want {
 		if got := warm[0].DiskLoads[st].Codec; got != codec {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"runtime"
@@ -28,7 +29,7 @@ func TestServeEndpoints(t *testing.T) {
 	GetCounter("httptest_requests_total", "vendor", "Huawei").Add(2)
 	rec := EnableTracing(8)
 	defer DisableTracing()
-	_, s := Span(nilCtx(), "http-test-span")
+	_, s := Span(context.Background(), "http-test-span")
 	s.End()
 	_ = rec
 

@@ -46,10 +46,6 @@ func Fatal(l *slog.Logger, msg string, args ...any) { telemetry.Fatal(l, msg, ar
 // /debug/traces, and the standard /debug/pprof/ handlers.
 func ServeTelemetry(addr string) (*TelemetryServer, error) { return telemetry.Serve(addr) }
 
-// WriteMetrics writes the pipeline metrics registry in the Prometheus text
-// exposition format.
-func WriteMetrics(w io.Writer) (int64, error) { return telemetry.Default().WriteTo(w) }
-
 // EnableTracing installs a span recorder with the given ring-buffer
 // capacity; pipeline stages start recording spans immediately.
 func EnableTracing(capacity int) { telemetry.EnableTracing(capacity) }

@@ -1,7 +1,6 @@
 package nassim
 
 import (
-	"context"
 	"net"
 	"time"
 
@@ -72,13 +71,6 @@ func ServeDeviceChaos(d *Device, addr string, p ChaosProfile) (*DeviceServer, *F
 	}
 	fl := faultnet.Wrap(l, p)
 	return device.ServeListener(d, fl), fl, nil
-}
-
-// DialDeviceContext opens a CLI session against a served device, bounding
-// the connect and greeting exchange by the context's deadline (or the
-// transport's default dial timeout).
-func DialDeviceContext(ctx context.Context, addr string) (*DeviceClient, error) {
-	return device.DialContext(ctx, addr)
 }
 
 // DialDeviceResilient returns a resilient client for a served device. The

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"time"
 
 	"nassim/internal/configgen"
 	"nassim/internal/device"
@@ -174,6 +175,10 @@ type AssimilationResult struct {
 	// and which were satisfied from the artifact cache.
 	StagesRun     []PipelineStage
 	StagesSkipped []PipelineStage
+	// StageElapsed is the engine's wall time of each executed stage;
+	// cache-satisfied stages have no entry. It is the one stage clock:
+	// the stage histogram and the run manifest read the same value.
+	StageElapsed map[PipelineStage]time.Duration
 	// DegradedStages maps each stage that yielded a partial (degraded)
 	// artifact — e.g. live testing against a device that kept dropping
 	// connections — to its machine-readable reason. Degraded artifacts are
