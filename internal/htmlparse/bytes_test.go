@@ -85,8 +85,10 @@ func TestParseBytesMatchesReference(t *testing.T) {
 	}
 }
 
+// renderTree renders a tree's node kinds, tags, data, attributes and
+// cached class lists, so two builders' trees compare as strings.
 func renderTree(n *Node) string {
-	s := fmt.Sprintf("(%d %q %q %v", n.Type, n.Tag, n.Data, n.Attrs)
+	s := fmt.Sprintf("(%d %q %q %v %q", n.Type, n.Tag, n.Data, n.Attrs, n.Classes())
 	for _, c := range n.Children {
 		s += " " + renderTree(c)
 	}
