@@ -54,8 +54,8 @@ type Options struct {
 	// CacheDir, when set, mirrors four stages' artifacts on disk (parse,
 	// hierarchy, empirical and map_to_udm) so later processes warm-start
 	// from them. syntax_cgm stays in memory, so a restart still executes
-	// one stage per job; live_test stays in memory because it records a
-	// device at one moment.
+	// one stage per job, a parse check that compiles no CGM; live_test
+	// stays in memory because it records a device at one moment.
 	CacheDir string
 	// Validate runs empirical configuration validation (§5.3, Figure 8)
 	// for vendors with a synthetic configuration corpus.

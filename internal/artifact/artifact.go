@@ -60,8 +60,11 @@ type Writer struct {
 }
 
 // NewWriter starts a document with the given schema tag (e.g. "parse/v1").
-func NewWriter(schema string) *Writer {
-	return &Writer{schema: schema, poolIdx: map[string]uint64{}}
+// expected is the number of distinct strings the document should intern:
+// it sizes the pool's index up front, so a large document does not grow
+// the index one insert at a time. 0 leaves the index to grow.
+func NewWriter(schema string, expected int) *Writer {
+	return &Writer{schema: schema, poolIdx: make(map[string]uint64, expected)}
 }
 
 // Section opens (or reopens) a named section and returns its encoder.

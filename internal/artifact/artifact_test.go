@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"math"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter("test/v1")
+	w := NewWriter("test/v1", 0)
 	e := w.Section("main")
 	e.Uvarint(42)
 	e.Int(-7)
@@ -78,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 func TestFloat64Bits(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef),
 		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
-	w := NewWriter("test/v1")
+	w := NewWriter("test/v1", 0)
 	e := w.Section("f")
 	for _, v := range vals {
 		e.Float64(v)
@@ -119,23 +120,31 @@ func TestFloat64Bits(t *testing.T) {
 }
 
 func TestInterningSharesPool(t *testing.T) {
-	w := NewWriter("test/v1")
+	w := NewWriter("test/v1", 0)
 	e := w.Section("s")
 	e.String("shared-value")
 	e.String("shared-value")
 	data := w.Bytes()
 	// A second writer with a distinct string must produce a longer pool.
-	w2 := NewWriter("test/v1")
+	w2 := NewWriter("test/v1", 0)
 	e2 := w2.Section("s")
 	e2.String("shared-value")
 	e2.String("other-value!")
 	if len(w2.Bytes()) <= len(data) {
 		t.Error("distinct strings should grow the document; duplicates should not")
 	}
+	// Sizing the pool's index up front changes no byte.
+	w3 := NewWriter("test/v1", 64)
+	e3 := w3.Section("s")
+	e3.String("shared-value")
+	e3.String("shared-value")
+	if !bytes.Equal(w3.Bytes(), data) {
+		t.Error("a presized writer wrote other bytes")
+	}
 }
 
 func TestOpenRejectsCorruption(t *testing.T) {
-	w := NewWriter("test/v1")
+	w := NewWriter("test/v1", 0)
 	e := w.Section("s")
 	for i := 0; i < 32; i++ {
 		e.String(strings.Repeat("x", i))
@@ -209,7 +218,7 @@ func reseal(data []byte) []byte {
 // header and checksum checks, and resealed, which reaches the section
 // table and every primitive decoder behind them.
 func FuzzOpen(f *testing.F) {
-	w := NewWriter("fuzz/v1")
+	w := NewWriter("fuzz/v1", 0)
 	e := w.Section("s")
 	e.String("seed")
 	e.Uvarint(7)

@@ -62,7 +62,7 @@ func allIndexTemplates(t testing.TB) *Index {
 // roundTrip returns the index decoded from its binary encoding.
 func roundTrip(t testing.TB, ix *Index) *Index {
 	t.Helper()
-	w := artifact.NewWriter("cgm-test")
+	w := artifact.NewWriter("cgm-test", 0)
 	AppendIndexBinary(w.Section("index"), ix)
 	r, err := artifact.Open(w.Bytes())
 	if err != nil {

@@ -63,15 +63,15 @@ func (r *Report) String() string {
 		len(r.AmbiguousViews), len(r.UnresolvedViews))
 }
 
-// ValidateSyntax runs the formal syntax validation + CGM construction
-// stage alone (§5.1, the dominant cost in Table 4's construction time):
-// every primary CLI template is checked against the vendor-independent
-// syntax and compiled into a CLI graph model. It returns the populated CGM
-// index and the rejected templates. The context is polled between
-// templates; on cancellation the partial results so far are returned and
-// ctx.Err() tells the caller the stage did not finish.
-func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus, typeOf cgm.TypeResolver) (*cgm.Index, []vdm.InvalidCLI) {
-	idx := cgm.NewIndex()
+// CheckSyntax is the formal syntax validation of §5.1 and the one test of
+// a template's validity: it parses every primary CLI template against the
+// vendor-independent syntax (clisyntax.ParseCached) and returns the
+// templates that fail, in corpus order, for expert review. It builds no
+// CGM; valid, when set, is called with each template that passes, which
+// is how Derive builds one for each. The context is polled between
+// templates; on cancellation the list so far is returned and ctx.Err()
+// tells the caller the check did not finish.
+func CheckSyntax(ctx context.Context, corpora []corpus.Corpus, valid func(i int, tmpl string)) []vdm.InvalidCLI {
 	var invalid []vdm.InvalidCLI
 	for i := range corpora {
 		if i&0xff == 0 && ctx.Err() != nil {
@@ -81,11 +81,13 @@ func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus,
 		if tmpl == "" {
 			continue
 		}
-		if err := idx.Add(vdm.CorpusID(i), tmpl, typeOf); err != nil {
+		if _, err := clisyntax.ParseCached(tmpl); err != nil {
 			invalid = append(invalid, toInvalid(i, tmpl, err))
+		} else if valid != nil {
+			valid(i, tmpl)
 		}
 	}
-	return idx, invalid
+	return invalid
 }
 
 // Derive builds the validated VDM from a parsed corpus batch. explicit
@@ -98,9 +100,14 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 		"vendor", vendor, "corpora", len(corpora), "explicit_edges", len(explicit))
 	defer span.End()
 
-	// Stage 1: formal syntax validation + CGM construction.
+	// Stage 1: formal syntax validation, and a CGM for each template that
+	// passes.
 	start := time.Now()
-	idx, invalid := ValidateSyntax(ctx, vendor, corpora, typeOf)
+	idx := cgm.NewIndex()
+	invalid := CheckSyntax(ctx, corpora, func(i int, tmpl string) {
+		// The template parsed and cgm.Build never fails, so neither can Add.
+		_ = idx.Add(vdm.CorpusID(i), tmpl, typeOf)
+	})
 	cgmTime := time.Since(start)
 	v := &vdm.VDM{
 		Vendor:      vendor,

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -110,6 +111,30 @@ func TestAmbiguousViewsRecordSnippets(t *testing.T) {
 		info := v.Views[name]
 		if len(info.RelevantSnippets) == 0 {
 			t.Errorf("ambiguous view %q has no recorded snippets for expert review", name)
+		}
+	}
+}
+
+// TestCheckSyntaxSplitsTemplates checks that the syntax check flags the
+// injected errors and hands every other template to valid, and that
+// Derive flags the same list and indexes exactly the templates that pass.
+func TestCheckSyntaxSplitsTemplates(t *testing.T) {
+	m, v, _ := pipeline(t, devmodel.Huawei, 0.02)
+	var passed []int
+	invalid := CheckSyntax(context.Background(), v.Corpora, func(i int, _ string) { passed = append(passed, i) })
+	if len(invalid) != len(m.SyntaxErrorIDs) || len(invalid)+len(passed) != len(v.Corpora) {
+		t.Fatalf("%d invalid and %d passed of %d corpora, want %d invalid",
+			len(invalid), len(passed), len(v.Corpora), len(m.SyntaxErrorIDs))
+	}
+	if !reflect.DeepEqual(invalid, v.InvalidCLIs) {
+		t.Errorf("Derive flagged %v, the check %v", v.InvalidCLIs, invalid)
+	}
+	if v.Index.Len() != len(passed) {
+		t.Errorf("Derive indexed %d templates, %d passed", v.Index.Len(), len(passed))
+	}
+	for _, i := range passed {
+		if v.Index.Graph(vdm.CorpusID(i)) == nil {
+			t.Errorf("corpus %d passed but has no CGM", i)
 		}
 	}
 }

@@ -29,6 +29,13 @@ type Codec[T any] interface {
 	Decode([]byte) (T, error)
 }
 
+// stringsPerCorpus sizes the string-pool index of the parse and derive
+// artifacts from their corpus count. At paper scale the two large manuals
+// intern 3.6 (Nokia's parse artifact) to 6.4 (Huawei's derive artifact)
+// strings per corpus, so their indices never regrow; the small Cisco and
+// H3C manuals reach 9.1 and may.
+const stringsPerCorpus = 7
+
 // --- parse artifact ---------------------------------------------------------
 
 // parseBinaryCodec stores the Parse stage's output as a nassim-art/v1
@@ -40,7 +47,7 @@ type parseBinaryCodec struct{}
 func (parseBinaryCodec) Version() string { return "parse.v1.art" }
 
 func (parseBinaryCodec) Encode(a *parseArtifact) ([]byte, error) {
-	w := artifact.NewWriter("parse/v1")
+	w := artifact.NewWriter("parse/v1", stringsPerCorpus*len(a.Corpora))
 	corpus.AppendBinary(w.Section("corpora"), a.Corpora)
 	he := w.Section("hierarchy")
 	he.Len(len(a.Hierarchy), a.Hierarchy == nil)
@@ -100,7 +107,7 @@ type deriveBinaryCodec struct{}
 func (deriveBinaryCodec) Version() string { return "derive.v2.art" }
 
 func (deriveBinaryCodec) Encode(a *deriveArtifact) ([]byte, error) {
-	w := artifact.NewWriter("derive/v2")
+	w := artifact.NewWriter("derive/v2", stringsPerCorpus*len(a.VDM.Corpora))
 	a.VDM.AppendBinary(w.Section("vdm"))
 	re := w.Section("report")
 	if a.Report == nil {
@@ -181,7 +188,7 @@ type empiricalCodec struct{ corpora int }
 func (empiricalCodec) Version() string { return "empirical.v1.art" }
 
 func (empiricalCodec) Encode(r *empirical.Report) ([]byte, error) {
-	w := artifact.NewWriter("empirical/v1")
+	w := artifact.NewWriter("empirical/v1", 0)
 	e := w.Section("report")
 	e.Int(int64(r.Files))
 	e.Int(int64(r.TotalLines))
@@ -267,7 +274,7 @@ type mapCodec struct {
 func (mapCodec) Version() string { return "map.v1.art" }
 
 func (mapCodec) Encode(ms []Mapping) ([]byte, error) {
-	w := artifact.NewWriter("map/v1")
+	w := artifact.NewWriter("map/v1", 0)
 	e := w.Section("mappings")
 	e.Len(len(ms), ms == nil)
 	total := 0

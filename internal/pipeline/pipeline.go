@@ -282,7 +282,8 @@ type Config struct {
 	// CacheDir, when set, mirrors the artifacts of the four stages with a
 	// codec (parse, hierarchy, empirical, map_to_udm) on disk so later
 	// processes can warm-start. syntax_cgm stays in memory, so a restart
-	// still executes one stage per job and fires its StageHook; live_test
+	// still executes one stage per job and fires its StageHook; that stage
+	// only parses, and the CGMs load with the hierarchy artifact. live_test
 	// stays in memory because it records a device at one moment.
 	CacheDir string
 	// StageHook, when set, observes actual stage executions (cache hits
@@ -533,14 +534,14 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	}
 	jr.Corpora, jr.Hierarchy, jr.Completeness = pa.Corpora, pa.Hierarchy, pa.Completeness
 
-	// SyntaxValidate (§5.1): formal syntax validation + CGM construction
-	// over the raw corpora; the flagged templates go to the expert.
+	// SyntaxValidate (§5.1): formal syntax validation of the raw corpora;
+	// the flagged templates go to the expert. It only parses: the CGMs are
+	// built once, by DeriveHierarchy over the corrected corpora.
 	synKey := Key(StageSyntaxValidate, parseKey)
 	jr.noteKey(StageSyntaxValidate, synKey)
 	invalid, err := runStage(ctx, e, jr, StageSyntaxValidate, synKey, nil,
 		func(ctx context.Context) ([]vdm.InvalidCLI, error) {
-			_, inv := hierarchy.ValidateSyntax(ctx, job.Vendor, pa.Corpora, nil)
-			return inv, nil
+			return hierarchy.CheckSyntax(ctx, pa.Corpora, nil), nil
 		})
 	if err != nil {
 		return nil, err
@@ -680,24 +681,31 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	return jr, nil
 }
 
+// hashPages is HashStrings over the vendor, then each page's URL and HTML,
+// written straight into the hash.
 func hashPages(vendor string, pages []parser.Page) string {
-	parts := make([]string, 0, 2*len(pages)+1)
-	parts = append(parts, vendor)
+	f := newFramedHash()
+	f.write(vendor)
 	for _, p := range pages {
-		parts = append(parts, p.URL, p.HTML)
+		f.write(p.URL)
+		f.write(p.HTML)
 	}
-	return HashStrings(parts...)
+	return f.sum()
 }
 
 // hashFiles frames each file as its name, its line count and its lines, so
 // a line that looks like a file name cannot stand in for a file boundary.
+// It is HashStrings over that sequence, written straight into the hash.
 func hashFiles(files []configgen.File) string {
-	parts := make([]string, 0, len(files)*4)
-	for _, f := range files {
-		parts = append(parts, f.Name, strconv.Itoa(len(f.Lines)))
-		parts = append(parts, f.Lines...)
+	f := newFramedHash()
+	for _, file := range files {
+		f.write(file.Name)
+		f.write(strconv.Itoa(len(file.Lines)))
+		for _, l := range file.Lines {
+			f.write(l)
+		}
 	}
-	return HashStrings(parts...)
+	return f.sum()
 }
 
 func hashUsed(used map[int]bool) string {

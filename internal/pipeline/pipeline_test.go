@@ -19,6 +19,7 @@ import (
 	"nassim/internal/mapper"
 	"nassim/internal/nlp"
 	"nassim/internal/parser"
+	"nassim/internal/telemetry"
 	"nassim/internal/udm"
 	"nassim/internal/vdm"
 )
@@ -169,17 +170,23 @@ func TestEngineDiskCacheWarmStart(t *testing.T) {
 	}
 
 	// A fresh engine (empty memory store) over the same directory must
-	// warm-start the four mirrored stages and run only syntax_cgm.
+	// warm-start the four mirrored stages and run only syntax_cgm, which
+	// parses and compiles no CGM: the index loads with the hierarchy.
 	second, err := New(Config{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	added := telemetry.GetCounter("nassim_cgm_templates_added_total")
+	before := added.Value()
 	warm, err := second.Run(context.Background(), []Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []Stage{StageSyntaxValidate}; !slices.Equal(warm[0].Ran, want) {
 		t.Errorf("warm run executed %v, want %v", warm[0].Ran, want)
+	}
+	if n := added.Value() - before; n != 0 {
+		t.Errorf("warm run compiled %d CGMs, want 0", n)
 	}
 	want := map[Stage]string{StageParse: "parse.v1.art", StageDeriveHierarchy: "derive.v2.art",
 		StageEmpiricalValidate: "empirical.v1.art", StageMapToUDM: "map.v1.art"}

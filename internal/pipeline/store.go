@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"sync"
@@ -71,7 +72,8 @@ func (s *MemStore) Len() int {
 // file per key. It backs the MemStore for the four stages with a codec
 // (parse, hierarchy, empirical, map_to_udm) so a fresh process can
 // warm-start from a previous run's artifacts. syntax_cgm and live_test
-// have no codec and stay in memory (see Config.CacheDir).
+// have no codec and stay in memory (see Config.CacheDir); syntax_cgm is a
+// parse check, so a restart compiles no CGM.
 type DiskStore struct {
 	dir string
 }
@@ -127,33 +129,43 @@ func (d *DiskStore) Delete(stage Stage, key, version string) bool {
 	return os.Remove(d.path(stage, key, version)) == nil
 }
 
+// framedHash is a sha256 over a string sequence in which each string is
+// preceded by its length, so concatenation ambiguity cannot alias two
+// different sequences. Every key and key part is hashed through it.
+type framedHash struct {
+	h     hash.Hash
+	frame [8]byte
+}
+
+func newFramedHash() *framedHash { return &framedHash{h: sha256.New()} }
+
+// write frames s and hashes it.
+func (f *framedHash) write(s string) {
+	binary.BigEndian.PutUint64(f.frame[:], uint64(len(s)))
+	f.h.Write(f.frame[:])
+	f.h.Write([]byte(s))
+}
+
+// sum returns the hex digest of everything written.
+func (f *framedHash) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }
+
 // Key derives a stage's cache key by hashing the stage name, the keys of
-// its upstream artifacts, and any extra inputs. Each part is length-framed
-// so concatenation ambiguity cannot alias two different input sets.
+// its upstream artifacts, and any extra inputs.
 func Key(stage Stage, parts ...string) string {
-	h := sha256.New()
-	var frame [8]byte
-	write := func(s string) {
-		binary.BigEndian.PutUint64(frame[:], uint64(len(s)))
-		h.Write(frame[:])
-		h.Write([]byte(s))
-	}
-	write(string(stage))
+	f := newFramedHash()
+	f.write(string(stage))
 	for _, p := range parts {
-		write(p)
+		f.write(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return f.sum()
 }
 
 // HashStrings content-hashes an ordered string sequence (page bodies,
 // config lines, parameter names) into one key part.
 func HashStrings(parts ...string) string {
-	h := sha256.New()
-	var frame [8]byte
+	f := newFramedHash()
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
-		h.Write(frame[:])
-		h.Write([]byte(p))
+		f.write(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return f.sum()
 }

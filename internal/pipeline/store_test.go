@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nassim/internal/configgen"
+	"nassim/internal/parser"
 )
 
 func TestKeyContentHashing(t *testing.T) {
@@ -31,6 +32,22 @@ func TestHashFilesFramesFiles(t *testing.T) {
 	two := []configgen.File{{Name: "a.cfg", Lines: []string{"sysname r1"}}, {Name: "b.cfg"}}
 	if hashFiles(one) == hashFiles(two) {
 		t.Error("one file and two files share a config hash")
+	}
+}
+
+// TestStreamedHashesMatchHashStrings pins that the hashes written straight
+// into the hash are HashStrings over the sequences they frame.
+func TestStreamedHashesMatchHashStrings(t *testing.T) {
+	files := []configgen.File{{Name: "a.cfg", Lines: []string{"sysname r1", "b.cfg"}}, {Name: "b.cfg"}}
+	if got, want := hashFiles(files), HashStrings("a.cfg", "2", "sysname r1", "b.cfg", "b.cfg", "0"); got != want {
+		t.Errorf("hashFiles = %s, want %s", got, want)
+	}
+	pages := []parser.Page{{URL: "u1", HTML: "<p>1</p>"}, {URL: "u2", HTML: ""}}
+	if got, want := hashPages("H3C", pages), HashStrings("H3C", "u1", "<p>1</p>", "u2", ""); got != want {
+		t.Errorf("hashPages = %s, want %s", got, want)
+	}
+	if got, want := Key(StageParse, "a", "b"), HashStrings(string(StageParse), "a", "b"); got != want {
+		t.Errorf("Key = %s, want %s", got, want)
 	}
 }
 

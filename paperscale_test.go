@@ -8,11 +8,15 @@ package nassim_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nassim"
 	"nassim/internal/eval"
+	"nassim/internal/pipeline"
 )
 
 // TestTable4PaperScale asserts every discrete Table 4 count the paper
@@ -83,5 +87,59 @@ func TestLiveTestPaperScale(t *testing.T) {
 			t.Errorf("%s: tested %d, accepted %d, verified %d; want %d of each",
 				vendor, live.Tested, live.Accepted, live.Verified, want[vendor])
 		}
+	}
+}
+
+// syntaxInvalidDigest is the sha256 over the syntax stage's invalid lists
+// of the four vendors at scale 1.0: per vendor its name and entry count,
+// then per entry the corpus index, the template and the error text. It
+// was recorded while the syntax stage still compiled a CGM for every
+// template, so the parse check must flag exactly the same templates with
+// exactly the same errors.
+const syntaxInvalidDigest = "0cf9ec8b8244a3248179a4709b48a69ba657d08aac7c93b83e3cd798541ccb6b"
+
+// TestSyntaxInvalidPaperScale pins §5.1's flagged templates at paper
+// scale: Table 4's invalid counts, the digest of the lists, and the
+// hierarchy stage, run without corrections, flagging the same list.
+func TestSyntaxInvalidPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale corpus in -short mode")
+	}
+	var jobs []pipeline.Job
+	for _, v := range nassim.Vendors() {
+		in, err := nassim.GenerateInputs(v, 1.0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, pipeline.Job{Vendor: v, Pages: in.Pages})
+	}
+	eng, err := pipeline.New(pipeline.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jrs, err := eng.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"Huawei": 13, "Cisco": 19, "Nokia": 139, "H3C": 13}
+	h := sha256.New()
+	for _, jr := range jrs {
+		if len(jr.Invalid) != want[jr.Vendor] {
+			t.Errorf("%s: %d invalid templates, want %d", jr.Vendor, len(jr.Invalid), want[jr.Vendor])
+		}
+		if !reflect.DeepEqual(jr.Invalid, jr.VDM.InvalidCLIs) {
+			t.Errorf("%s: the hierarchy stage flagged %d templates, the syntax stage %d, or other ones",
+				jr.Vendor, len(jr.VDM.InvalidCLIs), len(jr.Invalid))
+		}
+		writeString(h, jr.Vendor)
+		writeInts(h, len(jr.Invalid))
+		for _, ic := range jr.Invalid {
+			writeInts(h, ic.Corpus)
+			writeString(h, ic.CLI)
+			writeString(h, ic.Err.Error())
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != syntaxInvalidDigest {
+		t.Errorf("syntax-stage invalid lists digest %s, want %s", got, syntaxInvalidDigest)
 	}
 }
