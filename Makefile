@@ -113,8 +113,12 @@ benchdiff:
 # implementations on any input (FuzzArenaMatchesParse,
 # FuzzCollapseSpaceMatchesReference, FuzzByteTokenizer). Device replies
 # (FuzzClientExec): any bytes a device sends after its greeting must give
-# the client a response or an error, never a panic or a hang. The seed
-# corpora also run in every plain `go test`.
+# the client a response or an error, never a panic or a hang. Serve
+# request keys (FuzzRequestKey): two request bodies that pass Check get
+# equal keys exactly when their normalized requests, tenant cleared, are
+# equal; minimizing its new JSON inputs also stalls the run (0 execs/s
+# for 12 s of a 21 s run), so it too runs with -fuzzminimizetime 0. The
+# seed corpora also run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/pipeline
@@ -129,6 +133,7 @@ fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzCollapseSpaceMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 	$(GO) test -race -run '^$$' -fuzz '^FuzzByteTokenizer$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 	$(GO) test -race -run '^$$' -fuzz '^FuzzClientExec$$' -fuzztime $(FUZZTIME) ./internal/device
+	$(GO) test -race -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/serve
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

@@ -48,23 +48,23 @@ type Options struct {
 	// Workers bounds per-vendor parallelism; <= 1 runs sequentially.
 	// Results are deterministic and identical for any worker count.
 	Workers int
-	// Cache is the artifact store consulted before every stage; nil uses a
-	// fresh store (no reuse across calls).
+	// Cache is the artifact store consulted before every stage but
+	// live_test; nil uses a fresh store (no reuse across calls).
 	Cache *PipelineCache
 	// CacheDir, when set, mirrors four stages' artifacts on disk (parse,
 	// hierarchy, empirical and map_to_udm) so later processes warm-start
 	// from them. syntax_cgm stays in memory, so a restart still executes
-	// one stage per job, a parse check that compiles no CGM; live_test
-	// stays in memory because it records a device at one moment.
+	// one stage per job, a parse check that compiles no CGM; live_test is
+	// never stored, because it records a device at one moment.
 	CacheDir string
 	// Validate runs empirical configuration validation (§5.3, Figure 8)
 	// for vendors with a synthetic configuration corpus.
 	Validate bool
 	// LiveTest exercises commands unused by the configuration corpus
-	// against an in-process simulated device (§5.3).
-	LiveTest        bool
-	PathsPerCommand int    // CGM paths instantiated per live-tested command (default 1)
-	Seed            uint64 // live-test instantiation seed
+	// against an in-process simulated device (§5.3), one CGM path per
+	// command. It runs on every call: live reports are never cached.
+	LiveTest bool
+	Seed     uint64 // live-test instantiation seed
 	// Chaos, with LiveTest, serves each vendor's device over TCP behind a
 	// fault-injecting listener and reaches it through a resilient client
 	// (retry, circuit breaking, session replay). Each vendor derives its
@@ -73,9 +73,6 @@ type Options struct {
 	// vendor's live report (see AssimilationResult.DegradedStages) instead
 	// of failing the run.
 	Chaos *ChaosProfile
-	// LiveFailureBudget is the live stage's transport-failure budget; see
-	// the pipeline Job field of the same name. 0 takes the default.
-	LiveFailureBudget int
 	// Report builds the run observatory's per-run manifest: input content
 	// hashes, per-stage outcomes, cache hit/miss, worker-pool
 	// utilization, metrics delta, and a span summary, with every duration
@@ -191,7 +188,7 @@ func GenerateInputs(vendor string, scale float64, configs bool) (*Inputs, error)
 // ignored (the inputs name theirs) and its Scale is only reported.
 func AssimilateInputs(ctx context.Context, opts Options, inputs []*Inputs) (*Result, error) {
 	eng, err := pipeline.New(pipeline.Config{
-		Workers: opts.Workers, Store: storeOrNil(opts.Cache),
+		Workers: opts.Workers, Store: opts.Cache,
 		CacheDir: opts.CacheDir, StageHook: opts.StageHook,
 	})
 	if err != nil {
@@ -240,9 +237,7 @@ func AssimilateInputs(ctx context.Context, opts Options, inputs []*Inputs) (*Res
 				job.Exec = SessionExecutor(dev.NewSession())
 			}
 			job.ShowCmd = dev.ShowConfigCommand()
-			job.PathsPerCommand = opts.PathsPerCommand
 			job.Seed = opts.Seed
-			job.LiveFailureBudget = opts.LiveFailureBudget
 		}
 		jobs[i] = job
 	}
@@ -261,7 +256,7 @@ func AssimilateInputs(ctx context.Context, opts Options, inputs []*Inputs) (*Res
 		info := obsreport.RunInfo{
 			Workers: opts.Workers, Scale: opts.Scale, Seed: opts.Seed,
 			Validate: opts.Validate, LiveTest: opts.LiveTest,
-			Chaos: opts.Chaos != nil, LiveFailureBudget: opts.LiveFailureBudget,
+			Chaos: opts.Chaos != nil,
 		}
 		for _, in := range inputs {
 			info.Vendors = append(info.Vendors, string(in.Model.Vendor))
@@ -316,12 +311,4 @@ func closeAll(closers []func()) {
 	for _, c := range closers {
 		c()
 	}
-}
-
-// storeOrNil avoids handing the engine a typed-nil Store interface.
-func storeOrNil(c *PipelineCache) pipeline.Store {
-	if c == nil {
-		return nil
-	}
-	return c
 }

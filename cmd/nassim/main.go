@@ -448,7 +448,8 @@ func cmdIntent(args []string) error {
 // cmdRun drives the staged pipeline engine: assimilate
 // several vendors concurrently with content-hash artifact caching. Ctrl-C
 // cancels the run at the next stage boundary. -repeat 2 demonstrates the
-// warm-cache path: the second round reports every stage as skipped.
+// warm-cache path: the second round reports every stage as skipped except
+// live_test, which is never cached and re-tests the device every round.
 // chaosProfileFlag is the -chaos-profile flag value shared by run and
 // reconcile: a named scenario from the chaos library, validated at
 // flag-parse time so unknown names are rejected before any work starts.

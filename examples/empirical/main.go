@@ -66,6 +66,12 @@ func main() {
 	}
 	fmt.Printf("live testing: %d generated instances issued, %d accepted, %d verified via show command\n",
 		live.Tested, live.Accepted, live.Verified)
+	if live.Degraded {
+		// A device whose transport kept failing degrades the run: the
+		// counts above cover what was tested before it stopped.
+		fmt.Printf("live testing degraded (%s) after %d transport failures\n",
+			live.DegradedReason, live.ExchangeFailures)
+	}
 	fmt.Printf("%d verified instances become empirical configurations for the next validation round\n",
 		len(live.NewConfigLines))
 	for i, line := range live.NewConfigLines {

@@ -521,32 +521,9 @@ type LiveReport struct {
 	ExchangeFailures int
 }
 
-// DegradedArtifact reports whether the run degraded and why — the
-// pipeline's Degradable interface, which keeps partial live reports out
-// of the artifact cache.
-func (r *LiveReport) DegradedArtifact() (reason string, degraded bool) {
-	return r.DegradedReason, r.Degraded
-}
-
-// LiveOptions tunes TestUnusedCommandsOpts. The zero value matches the
-// historical defaults.
-type LiveOptions struct {
-	// PathsPerCommand bounds the CGM paths instantiated per unused command
-	// (minimum 1).
-	PathsPerCommand int
-	// Seed drives parameter-value instantiation.
-	Seed uint64
-	// FailureBudget is the number of transport failures tolerated before
-	// the run degrades (returns a partial report with Degraded set) instead
-	// of erroring. 0 takes DefaultFailureBudget; negative disables
-	// degradation — the first transport failure is returned as an error,
-	// the pre-budget behavior.
-	FailureBudget int
-}
-
-// DefaultFailureBudget is the transport-failure budget applied when
-// LiveOptions.FailureBudget is zero.
-const DefaultFailureBudget = 16
+// FailureBudget is the number of transport failures a live-testing run
+// absorbs before it stops and degrades (see TestUnusedCommands).
+const FailureBudget = 16
 
 // Executor issues one CLI line to a device and reports the outcome; it is
 // satisfied by *device.Client (over TCP) and by sessionExecutor below.
@@ -653,61 +630,44 @@ func InstantiatePath(path []cgm.PathElem, r *rand.Rand) string {
 }
 
 // TestUnusedCommands exercises every corpus not covered by the empirical
-// configurations (§5.3) with the pre-budget error semantics: the first
-// transport failure aborts the run with an error. New callers should use
-// TestUnusedCommandsOpts, which degrades gracefully on flaky devices.
-func TestUnusedCommands(ctx context.Context, v *vdm.VDM, used map[int]bool, exec Executor, showCmd string,
-	pathsPerCommand int, seed uint64) (*LiveReport, error) {
-	return TestUnusedCommandsOpts(ctx, v, used, exec, showCmd, LiveOptions{
-		PathsPerCommand: pathsPerCommand, Seed: seed, FailureBudget: -1})
-}
-
-// TestUnusedCommandsOpts exercises every corpus not covered by the
-// empirical configurations (§5.3): enumerate up to PathsPerCommand CGM
-// paths, instantiate them, navigate the device into one of the command's
-// working views, issue the instance, and verify it by re-reading the
-// running configuration with showCmd. Verified instances are returned as
-// new empirical configuration lines for the next Figure 8 round.
+// configurations (§5.3): enumerate up to pathsPerCommand CGM paths
+// (minimum 1), instantiate them with values drawn from seed, navigate the
+// device into one of the command's working views, issue the instance, and
+// verify it by re-reading the running configuration with showCmd.
+// Verified instances are returned as new empirical configuration lines
+// for the next Figure 8 round.
 //
 // Transport failures (dropped connections, timeouts, protocol garbage —
-// anything the executor returns as an error) are absorbed up to the
-// options' FailureBudget: the affected instance is recorded as failed and
-// the run moves on. When the budget is exhausted, or the executor reports
-// an open circuit breaker, the run stops and returns the partial report
-// with Degraded set and a machine-readable DegradedReason — not an error,
-// so callers keep the coverage the run did achieve. Cancellation via ctx
-// is still an error, honored between commands and, when the executor
-// implements ContextExecutor, inside each device exchange.
-func TestUnusedCommandsOpts(ctx context.Context, v *vdm.VDM, used map[int]bool, exec Executor, showCmd string,
-	opts LiveOptions) (*LiveReport, error) {
-	if opts.PathsPerCommand <= 0 {
-		opts.PathsPerCommand = 1
-	}
-	budget := opts.FailureBudget
-	if budget == 0 {
-		budget = DefaultFailureBudget
+// anything the executor returns as an error) are absorbed up to
+// FailureBudget: the affected instance is recorded as failed and the run
+// moves on. When the budget is exhausted, or the executor reports an open
+// circuit breaker, the run stops and returns the partial report with
+// Degraded set and a machine-readable DegradedReason — not an error, so
+// callers keep the coverage the run did achieve. Cancellation via ctx is
+// an error, honored between commands and, when the executor implements
+// ContextExecutor, inside each device exchange.
+func TestUnusedCommands(ctx context.Context, v *vdm.VDM, used map[int]bool, exec Executor, showCmd string,
+	pathsPerCommand int, seed uint64) (*LiveReport, error) {
+	if pathsPerCommand <= 0 {
+		pathsPerCommand = 1
 	}
 	ctx, span := telemetry.Span(ctx, "validate.live", "vendor", v.Vendor)
 	defer span.End()
-	r := rand.New(rand.NewPCG(opts.Seed, 0x11fe))
+	r := rand.New(rand.NewPCG(seed, 0x11fe))
 	rep := &LiveReport{}
-	// absorb classifies one transport failure: hard error (cancellation or
-	// a disabled budget) aborts the run, an open breaker or an exhausted
-	// budget degrades it, anything else is tolerated and the caller skips
-	// to the next instance.
+	// absorb classifies one transport failure: cancellation aborts the
+	// run, an open breaker or an exhausted budget degrades it, anything
+	// else is tolerated and the caller skips to the next instance.
 	absorb := func(err error) (stop bool, hard error) {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return true, ctxErr
-		}
-		if budget < 0 {
-			return true, err
 		}
 		rep.ExchangeFailures++
 		if errors.Is(err, device.ErrBreakerOpen) {
 			rep.Degraded, rep.DegradedReason = true, DegradedBreakerOpen
 			return true, nil
 		}
-		if rep.ExchangeFailures >= budget {
+		if rep.ExchangeFailures >= FailureBudget {
 			rep.Degraded, rep.DegradedReason = true, DegradedExchangeBudget
 			return true, nil
 		}
@@ -734,7 +694,7 @@ corpora:
 			rep.Results = append(rep.Results, LiveResult{Corpus: i, Err: err.Error()})
 			continue
 		}
-		for _, path := range g.Paths(opts.PathsPerCommand) {
+		for _, path := range g.Paths(pathsPerCommand) {
 			inst := InstantiatePath(path, r)
 			rep.Tested++
 			res := LiveResult{Corpus: i, Instance: inst}

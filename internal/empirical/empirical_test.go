@@ -339,23 +339,23 @@ func liveFixture(t *testing.T) (*vdm.VDM, Executor, string) {
 func TestLiveDegradesOnBudgetExhaustion(t *testing.T) {
 	v, exec, show := liveFixture(t)
 	broken := &flakyExec{inner: exec, fail: func(int) error { return errors.New("connection reset") }}
-	rep, err := TestUnusedCommandsOpts(context.Background(), v, map[int]bool{}, broken, show,
-		LiveOptions{FailureBudget: 3})
+	rep, err := TestUnusedCommands(context.Background(), v, map[int]bool{}, broken, show, 1, 3)
 	if err != nil {
 		t.Fatalf("degradation surfaced as an error: %v", err)
 	}
 	if !rep.Degraded || rep.DegradedReason != DegradedExchangeBudget {
 		t.Fatalf("rep = %+v, want degraded with reason %s", rep, DegradedExchangeBudget)
 	}
-	if rep.ExchangeFailures != 3 {
-		t.Fatalf("exchange failures = %d, want the budget of 3", rep.ExchangeFailures)
+	if rep.ExchangeFailures != FailureBudget || broken.calls != FailureBudget {
+		t.Fatalf("exchange failures = %d over %d calls, want the budget of %d",
+			rep.ExchangeFailures, broken.calls, FailureBudget)
 	}
 }
 
 func TestLiveDegradesOnOpenBreaker(t *testing.T) {
 	v, exec, show := liveFixture(t)
 	dead := &flakyExec{inner: exec, fail: func(int) error { return device.ErrBreakerOpen }}
-	rep, err := TestUnusedCommandsOpts(context.Background(), v, map[int]bool{}, dead, show, LiveOptions{})
+	rep, err := TestUnusedCommands(context.Background(), v, map[int]bool{}, dead, show, 1, 3)
 	if err != nil {
 		t.Fatalf("open breaker surfaced as an error: %v", err)
 	}
@@ -377,7 +377,7 @@ func TestLiveToleratesFailuresWithinBudget(t *testing.T) {
 		}
 		return nil
 	}}
-	rep, err := TestUnusedCommandsOpts(context.Background(), v, map[int]bool{}, flaky, show, LiveOptions{})
+	rep, err := TestUnusedCommands(context.Background(), v, map[int]bool{}, flaky, show, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,19 +392,11 @@ func TestLiveToleratesFailuresWithinBudget(t *testing.T) {
 	}
 }
 
-func TestLiveLegacyEntryPointStillErrors(t *testing.T) {
-	v, exec, show := liveFixture(t)
-	broken := &flakyExec{inner: exec, fail: func(int) error { return errors.New("connection reset") }}
-	if _, err := TestUnusedCommands(context.Background(), v, map[int]bool{}, broken, show, 1, 3); err == nil {
-		t.Fatal("legacy entry point absorbed a transport failure")
-	}
-}
-
 func TestLiveCancellationIsNotDegradation(t *testing.T) {
 	v, exec, show := liveFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TestUnusedCommandsOpts(ctx, v, map[int]bool{}, exec, show, LiveOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := TestUnusedCommands(ctx, v, map[int]bool{}, exec, show, 1, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -38,14 +38,13 @@ const ManifestSchema = "nassim-run-manifest/v1"
 // which vendors, at which options. Everything here is part of the run's
 // identity (the RunID hash) and of the deterministic manifest body.
 type RunInfo struct {
-	Vendors           []string `json:"vendors"`
-	Workers           int      `json:"workers"`
-	Scale             float64  `json:"scale"`
-	Seed              uint64   `json:"seed"`
-	Validate          bool     `json:"validate"`
-	LiveTest          bool     `json:"live_test"`
-	Chaos             bool     `json:"chaos"`
-	LiveFailureBudget int      `json:"live_failure_budget"`
+	Vendors  []string `json:"vendors"`
+	Workers  int      `json:"workers"`
+	Scale    float64  `json:"scale"`
+	Seed     uint64   `json:"seed"`
+	Validate bool     `json:"validate"`
+	LiveTest bool     `json:"live_test"`
+	Chaos    bool     `json:"chaos"`
 }
 
 // StageOutcome is what the engine did about one stage of one job.
@@ -548,10 +547,9 @@ func (c *Collector) Build(info RunInfo, results []*pipeline.JobResult) *Manifest
 func runID(m *Manifest) string {
 	h := sha256.New()
 	fmt.Fprintln(h, m.Schema)
-	fmt.Fprintf(h, "%v|%d|%g|%d|%t|%t|%t|%d\n",
+	fmt.Fprintf(h, "%v|%d|%g|%d|%t|%t|%t\n",
 		m.Info.Vendors, m.Info.Workers, m.Info.Scale,
-		m.Info.Seed, m.Info.Validate, m.Info.LiveTest, m.Info.Chaos,
-		m.Info.LiveFailureBudget)
+		m.Info.Seed, m.Info.Validate, m.Info.LiveTest, m.Info.Chaos)
 	for _, j := range m.Jobs {
 		fmt.Fprintf(h, "%s|%s|%s|%s\n", j.Vendor, j.PagesHash, j.ConfigHash,
 			strconv.FormatBool(j.Failed))

@@ -358,7 +358,8 @@ func (c mapCodec) Decode(data []byte) ([]Mapping, error) {
 
 // The codecs the engine wires into the stage graph. The empirical and map
 // codecs are built per job (they carry the job's corpus count, parameters
-// and attributes); syntax_cgm and live_test have none and stay in memory.
+// and attributes); syntax_cgm has none and stays in memory, and live_test
+// is never stored.
 var (
 	parseCodec  Codec[*parseArtifact]  = parseBinaryCodec{}
 	deriveCodec Codec[*deriveArtifact] = deriveBinaryCodec{}

@@ -79,7 +79,7 @@ func TestEngineInvalidate(t *testing.T) {
 	}
 }
 
-// TestMemStoreDelete pins the optional deleter used by Engine.Invalidate.
+// TestMemStoreDelete pins the eviction behind Engine.Invalidate.
 func TestMemStoreDelete(t *testing.T) {
 	s := NewMemStore()
 	s.Put("k", 42)
@@ -94,25 +94,5 @@ func TestMemStoreDelete(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("store has %d entries, want 0", s.Len())
-	}
-}
-
-// TestDiskStoreDelete pins the disk mirror's eviction.
-func TestDiskStoreDelete(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PutBytes(StageParse, "key", []byte("artifact"), "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Delete(StageParse, "key", "v1") {
-		t.Fatal("Delete of a present artifact returned false")
-	}
-	if _, ok := d.GetBytes(StageParse, "key", "v1"); ok {
-		t.Fatal("artifact survived Delete")
-	}
-	if d.Delete(StageParse, "key", "v1") {
-		t.Fatal("Delete of an absent artifact returned true")
 	}
 }

@@ -6,9 +6,11 @@
 // stage graph, cached in an artifact store (in-memory, optionally mirrored
 // on disk), wrapped in telemetry spans/counters/timers, and guarded by the
 // run's context so cancellation stops the pipeline at the next stage
-// boundary. A bounded worker pool assimilates multiple vendors
-// concurrently; per-vendor results are deterministic and independent of
-// the worker count.
+// boundary. Live testing is the exception to the caching: its report
+// records a device at one moment, so it is neither keyed nor stored. A
+// bounded worker pool assimilates multiple vendors concurrently;
+// per-vendor results are deterministic and independent of the worker
+// count.
 package pipeline
 
 import (
@@ -58,18 +60,6 @@ func init() {
 	reg.SetHelp("nassim_pipeline_stage_seconds", "Wall time of executed (non-cached) pipeline stages.")
 	reg.SetHelp("nassim_pipeline_jobs_total", "Per-vendor pipeline jobs, by result (ok, error).")
 	reg.SetHelp("nassim_pipeline_degraded_stages_total", "Pipeline stages that produced a degraded artifact, by stage.")
-}
-
-// Degradable is implemented by stage artifacts that can represent a
-// partial result produced under failure (e.g. *empirical.LiveReport when
-// the device's transport failure budget ran out). The engine returns a
-// degraded artifact to the caller but never caches it: a cached degraded
-// artifact would pin the failure long after the fault that caused it has
-// cleared.
-type Degradable interface {
-	// DegradedArtifact returns a machine-readable reason and whether the
-	// artifact is degraded.
-	DegradedArtifact() (reason string, degraded bool)
 }
 
 // Correction is one expert fix of a flagged CLI template (§5.1).
@@ -150,18 +140,15 @@ type Job struct {
 	// ConfigFiles enables the EmpiricalValidate stage (Figure 8).
 	ConfigFiles []configgen.File
 	// Exec + ShowCmd enable the LiveTest stage (§5.3 generated-instance
-	// testing against a device).
+	// testing against a device, empirical.TestUnusedCommands with
+	// PathsPerCommand and Seed). Its report records the device at one
+	// moment, so the stage runs on every job that sets Exec and its report
+	// is never stored. A device whose transport keeps failing degrades the
+	// report (see JobResult.DegradedStages) instead of failing the job.
 	Exec            empirical.Executor
 	ShowCmd         string
 	PathsPerCommand int
 	Seed            uint64
-	// LiveFailureBudget is the transport-failure budget of the LiveTest
-	// stage: once exceeded (or when the device's circuit breaker opens)
-	// the stage yields a partial LiveReport marked Degraded instead of
-	// failing the job. 0 takes empirical.DefaultFailureBudget; negative
-	// restores the pre-budget behavior where the first transport failure
-	// errors the job.
-	LiveFailureBudget int
 	// Map enables the MapToUDM stage.
 	Map *MapSpec
 }
@@ -187,14 +174,16 @@ type JobResult struct {
 	// and which were satisfied from the artifact store.
 	Ran     []Stage
 	Skipped []Stage
-	// Keys maps every stage the job touched (run or cache-satisfied) to its
-	// content-hash artifact key. Callers that later learn an artifact is
-	// stale — the reconciler detecting firmware skew on a device the VDM was
-	// validated against — pass these to Engine.Invalidate to force exactly
-	// that stage (and, through key chaining, nothing else) to re-run.
+	// Keys maps every cached stage the job touched (run or
+	// cache-satisfied) to its content-hash artifact key; live_test has no
+	// key, because its report is never stored. Callers that later learn an
+	// artifact is stale — the reconciler detecting firmware skew on a
+	// device the VDM was validated against — pass these to
+	// Engine.Invalidate to force exactly that stage (and, through key
+	// chaining, nothing else) to re-run.
 	Keys map[Stage]string
 	// StageElapsed is the wall time of each executed stage (cache-satisfied
-	// stages have no entry: skipped work is skipped). runStage measures it
+	// stages have no entry: skipped work is skipped). execStage measures it
 	// once, inside the stage hook's bracket; the stage histogram and every
 	// stage-time report read this value.
 	StageElapsed map[Stage]time.Duration
@@ -203,8 +192,8 @@ type JobResult struct {
 	// config files).
 	Pools map[Stage]telemetry.PoolStats
 	// DegradedStages maps each stage that produced a degraded (partial)
-	// artifact to its machine-readable reason. Degraded artifacts are
-	// returned in the fields above but never cached.
+	// artifact to its machine-readable reason. Only live_test degrades,
+	// and its reports are never cached, so the next job re-tests.
 	DegradedStages map[Stage]string
 	// PagesHash and ConfigHash are the content hashes of the job's inputs
 	// — the same hashes the artifact cache keys chain from — so a run
@@ -278,13 +267,13 @@ type Config struct {
 	Workers int
 	// Store is the artifact cache; nil gets a fresh MemStore. Share one
 	// store across runs to make warm re-runs skip unchanged stages.
-	Store Store
+	Store *MemStore
 	// CacheDir, when set, mirrors the artifacts of the four stages with a
 	// codec (parse, hierarchy, empirical, map_to_udm) on disk so later
 	// processes can warm-start. syntax_cgm stays in memory, so a restart
 	// still executes one stage per job and fires its StageHook; that stage
 	// only parses, and the CGMs load with the hierarchy artifact. live_test
-	// stays in memory because it records a device at one moment.
+	// is never stored: it records a device at one moment.
 	CacheDir string
 	// StageHook, when set, observes actual stage executions (cache hits
 	// never fire it). It is called immediately before each execution;
@@ -297,7 +286,7 @@ type Config struct {
 
 // Engine runs assimilation jobs through the staged pipeline.
 type Engine struct {
-	store   Store
+	store   *MemStore
 	disk    *DiskStore
 	workers int
 	hook    func(vendor string, stage Stage) func()
@@ -381,14 +370,10 @@ type deriveArtifact struct {
 	Report *hierarchy.Report
 }
 
-// runStage executes one stage unless its artifact is already cached. The
-// wrapper checks the context at the stage boundary, consults the memory
-// store then the disk mirror, and on a live run brackets fn with the
-// stage hook and a telemetry span, observes the stage histogram, and
-// records the artifact. An artifact produced under a cancelled context is
-// discarded, and a Degradable artifact reporting degradation is returned
-// but never cached — the next run with the same key re-executes the stage
-// against a hopefully-recovered device.
+// runStage executes one stage unless its artifact is already cached. It
+// checks the context at the stage boundary, consults the memory store then
+// the disk mirror, and on a miss runs the stage through execStage and
+// records the artifact in both.
 func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	key string, disk Codec[T], fn func(context.Context) (T, error)) (T, error) {
 	var zero T
@@ -415,6 +400,28 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 			}
 		}
 	}
+	t, err := execStage(ctx, e, jr, stage, fn)
+	if err != nil {
+		return zero, err
+	}
+	e.store.Put(key, t)
+	if disk != nil && e.disk != nil {
+		if data, err := disk.Encode(t); err == nil {
+			_ = e.disk.PutBytes(stage, key, data, disk.Version()) // best-effort mirror
+		}
+	}
+	return t, nil
+}
+
+// execStage executes one stage: it checks the context, brackets fn with
+// the stage hook and a telemetry span, times it, and records the run. An
+// artifact produced under a cancelled context is discarded.
+func execStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
+	fn func(context.Context) (T, error)) (T, error) {
+	var zero T
+	if err := ctx.Err(); err != nil {
+		return zero, fmt.Errorf("pipeline: %s/%s: %w", jr.Vendor, stage, err)
+	}
 	var unhook func()
 	if e.hook != nil {
 		unhook = e.hook(jr.Vendor, stage)
@@ -429,31 +436,13 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	}
 	if err == nil {
 		// Stages return partial output when cancelled mid-loop; surface
-		// the cancellation instead of caching a truncated artifact.
+		// the cancellation instead of keeping a truncated artifact.
 		err = ctx.Err()
 	}
 	if err != nil {
 		return zero, fmt.Errorf("pipeline: %s/%s: %w", jr.Vendor, stage, err)
 	}
 	e.noteRun(jr, stage, elapsed)
-	if d, ok := any(t).(Degradable); ok {
-		if reason, degraded := d.DegradedArtifact(); degraded {
-			if jr.DegradedStages == nil {
-				jr.DegradedStages = map[Stage]string{}
-			}
-			jr.DegradedStages[stage] = reason
-			telemetry.GetCounter("nassim_pipeline_degraded_stages_total", "stage", string(stage)).Inc()
-			telemetry.Logger("pipeline").Warn("stage degraded; artifact not cached",
-				"vendor", jr.Vendor, "stage", string(stage), "reason", reason)
-			return t, nil
-		}
-	}
-	e.store.Put(key, t)
-	if disk != nil && e.disk != nil {
-		if data, err := disk.Encode(t); err == nil {
-			_ = e.disk.PutBytes(stage, key, data, disk.Version()) // best-effort mirror
-		}
-	}
 	return t, nil
 }
 
@@ -480,19 +469,13 @@ func (jr *JobResult) noteKey(stage Stage, key string) {
 // that learn a cached artifact no longer describes the world (drift
 // detected against a device the artifact was validated on): deleting one
 // stage's key forces exactly that stage to re-run on the next job with the
-// same inputs, while every other stage still cache-hits. Stores that do
-// not support deletion (a custom Store without a Delete method) make this
-// a no-op. The disk mirror is left untouched: its artifacts are keyed by
-// content, and the memory store is the layer consulted first.
+// same inputs, while every other stage still cache-hits. The disk mirror
+// is left untouched: its artifacts are keyed by content, and the memory
+// store is the layer consulted first.
 func (e *Engine) Invalidate(keys ...string) int {
-	type deleter interface{ Delete(key string) bool }
-	d, ok := e.store.(deleter)
-	if !ok {
-		return 0
-	}
 	n := 0
 	for _, k := range keys {
-		if d.Delete(k) {
+		if e.store.Delete(k) {
 			n++
 		}
 	}
@@ -597,30 +580,26 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	}
 
 	// LiveTest (§5.3): optional; exercises commands unused by the
-	// empirical corpus against a device.
+	// empirical corpus against a device. The report records the device at
+	// one moment, so the stage runs every time and is never stored.
 	if job.Exec != nil {
-		paths := job.PathsPerCommand
-		if paths <= 0 {
-			paths = 1
-		}
 		var used map[int]bool
-		usedKey := ""
 		if jr.Empirical != nil {
 			used = jr.Empirical.UsedCorpora
-			usedKey = hashUsed(used)
 		}
-		liveKey := Key(StageLiveTest, deriveKey, usedKey, job.ShowCmd,
-			strconv.Itoa(paths), strconv.FormatUint(job.Seed, 10),
-			strconv.Itoa(job.LiveFailureBudget))
-		jr.noteKey(StageLiveTest, liveKey)
-		live, err := runStage(ctx, e, jr, StageLiveTest, liveKey, nil,
+		live, err := execStage(ctx, e, jr, StageLiveTest,
 			func(ctx context.Context) (*empirical.LiveReport, error) {
-				return empirical.TestUnusedCommandsOpts(ctx, da.VDM, used, job.Exec, job.ShowCmd,
-					empirical.LiveOptions{PathsPerCommand: paths, Seed: job.Seed,
-						FailureBudget: job.LiveFailureBudget})
+				return empirical.TestUnusedCommands(ctx, da.VDM, used, job.Exec, job.ShowCmd,
+					job.PathsPerCommand, job.Seed)
 			})
 		if err != nil {
 			return nil, err
+		}
+		if live.Degraded {
+			jr.DegradedStages = map[Stage]string{StageLiveTest: live.DegradedReason}
+			telemetry.GetCounter("nassim_pipeline_degraded_stages_total", "stage", string(StageLiveTest)).Inc()
+			log.Warn("stage degraded", "vendor", job.Vendor, "stage", string(StageLiveTest),
+				"reason", live.DegradedReason)
 		}
 		jr.Live = live
 	}
@@ -706,15 +685,6 @@ func hashFiles(files []configgen.File) string {
 		}
 	}
 	return f.sum()
-}
-
-func hashUsed(used map[int]bool) string {
-	keys := sortedUsed(used)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = strconv.Itoa(k)
-	}
-	return HashStrings(parts...)
 }
 
 // sortedUsed lists the corpus indices marked used, ascending.

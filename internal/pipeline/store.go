@@ -11,20 +11,15 @@ import (
 	"sync"
 )
 
-// Store is the artifact cache the engine consults before running a stage.
-// Keys are content hashes chained along the stage graph, so any change in a
-// stage's inputs — pages, corrections, config files, seeds — produces a new
-// key and forces a re-run, while unchanged inputs hit the cache and the
-// stage is skipped. Values are stage artifacts shared by reference; callers
-// must treat them as read-only.
-type Store interface {
-	Get(key string) (any, bool)
-	Put(key string, value any)
-}
-
-// MemStore is the in-memory artifact store. It is safe for concurrent use
-// by the engine's worker pool and can be shared across engine runs (and
-// across engines) to make warm re-runs skip unchanged stages.
+// MemStore is the in-memory artifact store the engine consults before
+// running a stage. Keys are content hashes chained along the stage graph,
+// so any change in a stage's inputs — pages, corrections, config files,
+// the mapper — produces a new key and forces a re-run, while unchanged
+// inputs hit the cache and the stage is skipped. Values are stage
+// artifacts shared by reference; callers must treat them as read-only.
+// It is safe for concurrent use by the engine's worker pool and can be
+// shared across engine runs (and across engines) to make warm re-runs
+// skip unchanged stages.
 type MemStore struct {
 	mu      sync.RWMutex
 	entries map[string]any
@@ -35,7 +30,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{entries: map[string]any{}}
 }
 
-// Get implements Store.
+// Get returns the artifact stored under key.
 func (s *MemStore) Get(key string) (any, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -43,7 +38,7 @@ func (s *MemStore) Get(key string) (any, bool) {
 	return v, ok
 }
 
-// Put implements Store.
+// Put stores an artifact under key.
 func (s *MemStore) Put(key string, value any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -71,9 +66,9 @@ func (s *MemStore) Len() int {
 // DiskStore persists serialized stage artifacts under a directory, one
 // file per key. It backs the MemStore for the four stages with a codec
 // (parse, hierarchy, empirical, map_to_udm) so a fresh process can
-// warm-start from a previous run's artifacts. syntax_cgm and live_test
-// have no codec and stay in memory (see Config.CacheDir); syntax_cgm is a
-// parse check, so a restart compiles no CGM.
+// warm-start from a previous run's artifacts. syntax_cgm has no codec and
+// stays in memory (see Config.CacheDir); it is a parse check, so a restart
+// compiles no CGM. live_test is never stored.
 type DiskStore struct {
 	dir string
 }
@@ -121,12 +116,6 @@ func (d *DiskStore) PutBytes(stage Stage, key string, data []byte, version strin
 		return err
 	}
 	return os.Rename(name, d.path(stage, key, version))
-}
-
-// Delete removes one stage's serialized artifact, reporting whether it
-// existed on disk.
-func (d *DiskStore) Delete(stage Stage, key, version string) bool {
-	return os.Remove(d.path(stage, key, version)) == nil
 }
 
 // framedHash is a sha256 over a string sequence in which each string is

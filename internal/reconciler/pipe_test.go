@@ -12,7 +12,7 @@ import (
 // runPlans runs two reconcile cycles over the given transport and
 // returns the encoded plans (shared store keeps the desired-state
 // derivation warm across transports, like the acceptance test).
-func runPlans(t *testing.T, transport Transport, store pipeline.Store) [][]byte {
+func runPlans(t *testing.T, transport Transport, store *pipeline.MemStore) [][]byte {
 	t.Helper()
 	sc, err := ScenarioByName("churn+skew+flap")
 	if err != nil {

@@ -114,7 +114,7 @@ type Config struct {
 	// Store is the pipeline artifact cache; nil uses a fresh MemStore.
 	// Sharing a warmed store makes even the first cycle's derivation a
 	// cache hit.
-	Store pipeline.Store
+	Store *pipeline.MemStore
 	// OnCycle, when set, observes every completed cycle of Run.
 	OnCycle func(*CycleResult)
 }

@@ -50,6 +50,28 @@ func TestServedBytesDigest(t *testing.T) {
 	}
 }
 
+// TestLiveMissesDoNotGrowStore: a live report records the device at one
+// moment and is never stored, so once a runner's first miss has filled
+// its pipeline cache, misses that differ only in their live-test seed add
+// nothing to it.
+func TestLiveMissesDoNotGrowStore(t *testing.T) {
+	cache := nassim.NewPipelineCache()
+	run := NewRunner(RunnerConfig{Workers: 2, Cache: cache})
+	if _, err := run(context.Background(), missRequest(1).Normalize(), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := cache.Len()
+	for seed := uint64(2); seed <= 5; seed++ {
+		if _, err := run(context.Background(), missRequest(seed).Normalize(), nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := cache.Len(); got != want {
+			t.Fatalf("after the miss with seed %d the store holds %d artifacts; want %d, as after the first miss",
+				seed, got, want)
+		}
+	}
+}
+
 // fingerprint hashes everything a run reads from a vendor's inputs.
 func fingerprint(t *testing.T, in *nassim.Inputs) string {
 	t.Helper()

@@ -15,7 +15,6 @@ import (
 func init() {
 	reg := telemetry.Default()
 	reg.SetHelp("nassim_serve_requests_total", "Admitted serve requests, by outcome (miss, inflight, cache, shed, draining, invalid).")
-	reg.SetHelp("nassim_serve_dedup_total", "Deduplicated serve requests, by kind (inflight, cache).")
 	reg.SetHelp("nassim_serve_executions_total", "Pipeline executions the serve queue dispatched.")
 	reg.SetHelp("nassim_serve_queue_depth", "Current serve queue depth.")
 	reg.SetHelp("nassim_serve_inflight", "Jobs currently queued or executing.")
@@ -378,7 +377,6 @@ func (s *Server) Start(req Request) (*Ticket, error) {
 		s.dedupCached.Add(1)
 		s.mu.Unlock()
 		telemetry.GetCounter("nassim_serve_requests_total", "outcome", DedupCache).Inc()
-		telemetry.GetCounter("nassim_serve_dedup_total", "kind", "cache").Inc()
 		return &Ticket{Key: key, Dedup: DedupCache, bytes: b, srv: s, t0: t0}, nil
 	}
 	if err := s.admitTenant(req.Tenant, true); err != nil {
@@ -394,7 +392,6 @@ func (s *Server) Start(req Request) (*Ticket, error) {
 		s.attachTenant(j, req.Tenant)
 		s.mu.Unlock()
 		telemetry.GetCounter("nassim_serve_requests_total", "outcome", DedupInflight).Inc()
-		telemetry.GetCounter("nassim_serve_dedup_total", "kind", "inflight").Inc()
 		return &Ticket{Key: key, Dedup: DedupInflight, job: j, srv: s, t0: t0}, nil
 	}
 	// Miss: enqueue a new job, or shed if the queue is full. The send

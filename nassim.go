@@ -206,8 +206,13 @@ func ValidateConfigsWorkers(ctx context.Context, v *VDM, files []ConfigFile, wor
 
 // TestUnusedCommands exercises commands unused by empirical configurations
 // against a (simulated) device reachable through exec, verifying accepted
-// instances via showCmd (§5.3). Cancellation via ctx is honored between
-// commands and, for context-aware executors, inside each device exchange.
+// instances via showCmd (§5.3). It is the one live-testing path: the
+// pipeline's live_test stage calls it too. Transport failures are
+// absorbed up to a fixed budget; past it, or once the device's circuit
+// breaker opens, the run stops and returns a partial report with Degraded
+// set and a DegradedReason, not an error. Cancellation via ctx is an
+// error, honored between commands and, for context-aware executors,
+// inside each device exchange.
 func TestUnusedCommands(ctx context.Context, v *VDM, used map[int]bool, exec empirical.Executor,
 	showCmd string, pathsPerCommand int, seed uint64) (*LiveReport, error) {
 	return empirical.TestUnusedCommands(ctx, v, used, exec, showCmd, pathsPerCommand, seed)

@@ -180,9 +180,9 @@ type AssimilationResult struct {
 	// the stage histogram and the run manifest read the same value.
 	StageElapsed map[PipelineStage]time.Duration
 	// DegradedStages maps each stage that yielded a partial (degraded)
-	// artifact — e.g. live testing against a device that kept dropping
-	// connections — to its machine-readable reason. Degraded artifacts are
-	// never cached; a later run re-executes those stages.
+	// artifact — live testing against a device that kept dropping
+	// connections — to its machine-readable reason. Live reports are never
+	// cached, so a later run tests the device again.
 	DegradedStages map[PipelineStage]string
 	// PagesHash and ConfigHash are the content hashes of the job's inputs
 	// — the same sha256 hashes the artifact cache keys chain from — so
