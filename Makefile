@@ -93,7 +93,7 @@ benchdiff:
 	$(MAKE) bench-all BENCH_DIR=benchout
 	$(GO) run ./cmd/benchdiff -baseline . -current benchout
 
-# Fuzzing under the race detector, every fuzz target in the repo, one
+# Fuzzing under the race detector, every fuzz target in the repo (14), one
 # anchored target per line. Artifact codecs: coverage-guided mutations of
 # real encoded artifacts must decode cleanly or be rejected with an
 # error — never panic — at the stage-codec layer (FuzzArtifactCodecs) and
@@ -117,8 +117,13 @@ benchdiff:
 # request keys (FuzzRequestKey): two request bodies that pass Check get
 # equal keys exactly when their normalized requests, tenant cleared, are
 # equal; minimizing its new JSON inputs also stalls the run (0 execs/s
-# for 12 s of a 21 s run), so it too runs with -fuzzminimizetime 0. The
-# seed corpora also run in every plain `go test`.
+# for 12 s of a 21 s run), so it too runs with -fuzzminimizetime 0.
+# Vendor parsers (FuzzParseManual): any vendor's parser over any manual
+# page must return without panicking, and a second parse of the page
+# must give the same corpora and completeness report. Its inputs are
+# whole manual pages of several KB, and minimizing one stalls the run at
+# 0 execs/s, so it runs with -fuzzminimizetime 0 too. The seed corpora
+# also run in every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzArtifactCodecs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/pipeline
@@ -134,6 +139,7 @@ fuzz:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzByteTokenizer$$' -fuzztime $(FUZZTIME) ./internal/htmlparse
 	$(GO) test -race -run '^$$' -fuzz '^FuzzClientExec$$' -fuzztime $(FUZZTIME) ./internal/device
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -race -run '^$$' -fuzz '^FuzzParseManual$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/parser
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

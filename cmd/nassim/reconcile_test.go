@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nassim"
+	"nassim/internal/obsreport"
 )
 
 // TestChaosProfileFlagRejectsUnknown pins the shared -chaos-profile
@@ -69,7 +70,7 @@ func TestReconcileSubcommand(t *testing.T) {
 		t.Fatalf("plan header: %+v", p)
 	}
 
-	m, err := nassim.LoadRunReport(report)
+	m, err := obsreport.Load(report)
 	if err != nil {
 		t.Fatal(err)
 	}

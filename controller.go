@@ -17,8 +17,6 @@ type (
 	Intent = controller.Intent
 	// Binding is the confirmed VDM-UDM mapping for one vendor.
 	Binding = controller.Binding
-	// PushResult records how an intent landed on one device.
-	PushResult = controller.PushResult
 )
 
 // NewController returns an empty controller; seed drives the deterministic

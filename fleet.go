@@ -23,24 +23,14 @@ type (
 	// pure functions from (seed, device, fleet size) to per-device
 	// transport faults and planted drift.
 	FleetScenario = reconciler.Scenario
-	// FleetDriftSpec is the drift a scenario plants on one device.
-	FleetDriftSpec = reconciler.DriftSpec
 	// FleetReconciler is the continuous desired-vs-observed control loop.
 	FleetReconciler = reconciler.Reconciler
 	// ReconcilerConfig tunes a FleetReconciler.
 	ReconcilerConfig = reconciler.Config
 	// ReconcileCycle is everything one reconcile cycle learned.
 	ReconcileCycle = reconciler.CycleResult
-	// ReconcileReport is one device's outcome in one cycle.
-	ReconcileReport = reconciler.DeviceReport
 	// ReconcilePlan is the cycle's deterministic remediation proposal.
 	ReconcilePlan = reconciler.Plan
-	// ReconcilePlanAction is one proposed remediation step.
-	ReconcilePlanAction = reconciler.PlanAction
-	// FleetHealth classifies one device's state after a probe.
-	FleetHealth = reconciler.Health
-	// DriftClass labels one kind of desired-vs-observed divergence.
-	DriftClass = reconciler.DriftClass
 	// FleetTransport selects how a simulated fleet is served (TCP
 	// listeners or in-process pipes).
 	FleetTransport = reconciler.Transport
@@ -61,14 +51,6 @@ const (
 	FleetDrifted     = reconciler.HealthDrifted
 	FleetDegraded    = reconciler.HealthDegraded
 	FleetUnreachable = reconciler.HealthUnreachable
-)
-
-// The drift classes a reconcile cycle distinguishes.
-const (
-	DriftMissingCLI   = reconciler.DriftMissingCLI
-	DriftExtraCLI     = reconciler.DriftExtraCLI
-	DriftParamSkew    = reconciler.DriftParamSkew
-	DriftFirmwareSkew = reconciler.DriftFirmwareSkew
 )
 
 // ReconcilePlanSchema identifies the remediation plan's JSON layout.

@@ -14,6 +14,9 @@ package nassim_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -162,12 +165,14 @@ func BenchmarkParseAll(b *testing.B) {
 // BenchmarkDecodeArtifact measures the warm path's artifact decode in
 // isolation: a cold pipeline run mirrors every vendor's parse and derive
 // artifact to disk; the measured loop then decodes the stored blobs
-// through the wired nassim-art binary codecs — no hashing, no disk I/O,
-// no stage execution. decode_ns_per_artifact is the derived per-blob
-// timing the benchdiff gate watches.
+// (found by their <stage>- file-name prefix) through the wired nassim-art
+// binary codecs — no hashing, no disk I/O, no stage execution.
+// decode_ns_per_artifact is the derived per-blob timing the benchdiff gate
+// watches.
 func BenchmarkDecodeArtifact(b *testing.B) {
 	data := setup(b)
-	eng, err := pipeline.New(pipeline.Config{CacheDir: b.TempDir()})
+	dir := b.TempDir()
+	eng, err := pipeline.New(pipeline.Config{CacheDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,17 +183,24 @@ func BenchmarkDecodeArtifact(b *testing.B) {
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
 		b.Fatal(err)
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var arts []pipeline.StoredArtifact
 	var stored int64
-	for _, job := range jobs {
-		as, err := eng.StoredArtifacts(job)
-		if err != nil {
-			b.Fatal(err)
+	for _, e := range ents {
+		for _, st := range []pipeline.Stage{pipeline.StageParse, pipeline.StageDeriveHierarchy} {
+			if !strings.HasPrefix(e.Name(), string(st)+"-") {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			stored += int64(len(data))
+			arts = append(arts, pipeline.StoredArtifact{Stage: st, Data: data})
 		}
-		for _, a := range as {
-			stored += int64(len(a.Data))
-		}
-		arts = append(arts, as...)
 	}
 	if want := 2 * len(jobs); len(arts) != want {
 		b.Fatalf("disk mirror holds %d artifact(s), want %d", len(arts), want)
@@ -281,14 +293,14 @@ func BenchmarkValidateConfigs(b *testing.B) {
 	})
 	b.Run("workers1", func(b *testing.B) {
 		run(b, func() *nassim.EmpiricalReport {
-			return nassim.ValidateConfigsWorkers(ctx, d.asr.VDM, files, 1)
+			return empirical.ValidateConfigsOpts(ctx, d.asr.VDM, files, empirical.Options{Workers: 1})
 		})
 		exportFrontendBench(b, "ValidateConfigs/workers1")
 	})
 	b.Run("workers8", func(b *testing.B) {
 		var acc telemetry.UtilizationAccum
 		run(b, func() *nassim.EmpiricalReport {
-			rep := nassim.ValidateConfigsWorkers(ctx, d.asr.VDM, files, 8)
+			rep := empirical.ValidateConfigsOpts(ctx, d.asr.VDM, files, empirical.Options{Workers: 8})
 			acc.Add(rep.Pool)
 			return rep
 		})

@@ -105,7 +105,7 @@ func TestFrontendVDMAndEmpiricalGolden(t *testing.T) {
 			}
 			want := empirical.ValidateConfigsNaive(ctx, vSeq, files)
 			for _, workers := range []int{1, 8} {
-				got := nassim.ValidateConfigsWorkers(ctx, vPar, files, workers)
+				got := empirical.ValidateConfigsOpts(ctx, vPar, files, empirical.Options{Workers: workers})
 				if want.Files != got.Files || want.TotalLines != got.TotalLines ||
 					want.UniqueLines != got.UniqueLines || want.MatchedLines != got.MatchedLines {
 					t.Fatalf("workers=%d: report counts differ: want %v, got %v", workers, want, got)

@@ -59,7 +59,8 @@ type Writer struct {
 	poolIdx map[string]uint64
 }
 
-// NewWriter starts a document with the given schema tag (e.g. "parse/v1").
+// NewWriter starts a document with the given schema tag, which OpenSchema
+// checks on read (the pipeline writes its stage's version here).
 // expected is the number of distinct strings the document should intern:
 // it sizes the pool's index up front, so a large document does not grow
 // the index one insert at a time. 0 leaves the index to grow.

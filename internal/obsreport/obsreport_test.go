@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -249,9 +250,10 @@ func TestManifestArtifactsBlock(t *testing.T) {
 	if len(arts) == 0 {
 		t.Fatal("warm run from disk mirror recorded no artifact loads")
 	}
+	stageVersion := regexp.MustCompile(`^[a-z_]+/v[0-9]+$`)
 	for _, a := range arts {
-		if !strings.HasSuffix(a.Codec, ".art") {
-			t.Errorf("stage %s decoded via %q, want a binary .art codec", a.Stage, a.Codec)
+		if !stageVersion.MatchString(a.Codec) {
+			t.Errorf("stage %s decoded via %q, want its stage version (name/vN)", a.Stage, a.Codec)
 		}
 		if a.Bytes <= 0 {
 			t.Errorf("stage %s: %d bytes", a.Stage, a.Bytes)

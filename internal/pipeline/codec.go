@@ -17,14 +17,10 @@ import (
 // run manifests record it so a stored run says what layout produced it.
 const ArtifactFormat = "nassim-art/v1"
 
-// Codec (de)serializes one artifact type for the on-disk cache. Stages
-// without a codec cache in memory only. Version names the codec and its
-// layout revision; DiskStore embeds it in the artifact filename, so a
-// format bump can never read a stale-layout file — the old name simply
-// does not exist and the stage re-runs (satellite: versioned keys).
+// Codec (de)serializes one stage's artifact for the disk mirror. Stages
+// without a codec cache in memory only. A codec writes its stage's version
+// (stageVersions) as the container's schema tag and rejects any other.
 type Codec[T any] interface {
-	// Version is the filename suffix, e.g. "parse.v1.art".
-	Version() string
 	Encode(T) ([]byte, error)
 	Decode([]byte) (T, error)
 }
@@ -44,10 +40,8 @@ const stringsPerCorpus = 7
 // text straight out of the read buffer instead of re-parsing JSON.
 type parseBinaryCodec struct{}
 
-func (parseBinaryCodec) Version() string { return "parse.v1.art" }
-
 func (parseBinaryCodec) Encode(a *parseArtifact) ([]byte, error) {
-	w := artifact.NewWriter("parse/v1", stringsPerCorpus*len(a.Corpora))
+	w := artifact.NewWriter(stageVersions[StageParse], stringsPerCorpus*len(a.Corpora))
 	corpus.AppendBinary(w.Section("corpora"), a.Corpora)
 	he := w.Section("hierarchy")
 	he.Len(len(a.Hierarchy), a.Hierarchy == nil)
@@ -60,7 +54,7 @@ func (parseBinaryCodec) Encode(a *parseArtifact) ([]byte, error) {
 }
 
 func (parseBinaryCodec) Decode(data []byte) (*parseArtifact, error) {
-	r, err := artifact.OpenSchema(data, "parse/v1")
+	r, err := artifact.OpenSchema(data, stageVersions[StageParse])
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +98,8 @@ func (parseBinaryCodec) Decode(data []byte) (*parseArtifact, error) {
 // runs write the same file.
 type deriveBinaryCodec struct{}
 
-func (deriveBinaryCodec) Version() string { return "derive.v2.art" }
-
 func (deriveBinaryCodec) Encode(a *deriveArtifact) ([]byte, error) {
-	w := artifact.NewWriter("derive/v2", stringsPerCorpus*len(a.VDM.Corpora))
+	w := artifact.NewWriter(stageVersions[StageDeriveHierarchy], stringsPerCorpus*len(a.VDM.Corpora))
 	a.VDM.AppendBinary(w.Section("vdm"))
 	re := w.Section("report")
 	if a.Report == nil {
@@ -131,7 +123,7 @@ func (deriveBinaryCodec) Encode(a *deriveArtifact) ([]byte, error) {
 }
 
 func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
-	r, err := artifact.OpenSchema(data, "derive/v2")
+	r, err := artifact.OpenSchema(data, stageVersions[StageDeriveHierarchy])
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +177,8 @@ func (deriveBinaryCodec) Decode(data []byte) (*deriveArtifact, error) {
 // report has a zero Pool.
 type empiricalCodec struct{ corpora int }
 
-func (empiricalCodec) Version() string { return "empirical.v1.art" }
-
 func (empiricalCodec) Encode(r *empirical.Report) ([]byte, error) {
-	w := artifact.NewWriter("empirical/v1", 0)
+	w := artifact.NewWriter(stageVersions[StageEmpiricalValidate], 0)
 	e := w.Section("report")
 	e.Int(int64(r.Files))
 	e.Int(int64(r.TotalLines))
@@ -210,7 +200,7 @@ func (empiricalCodec) Encode(r *empirical.Report) ([]byte, error) {
 }
 
 func (c empiricalCodec) Decode(data []byte) (*empirical.Report, error) {
-	r, err := artifact.OpenSchema(data, "empirical/v1")
+	r, err := artifact.OpenSchema(data, stageVersions[StageEmpiricalValidate])
 	if err != nil {
 		return nil, err
 	}
@@ -271,10 +261,8 @@ type mapCodec struct {
 	topK   int
 }
 
-func (mapCodec) Version() string { return "map.v1.art" }
-
 func (mapCodec) Encode(ms []Mapping) ([]byte, error) {
-	w := artifact.NewWriter("map/v1", 0)
+	w := artifact.NewWriter(stageVersions[StageMapToUDM], 0)
 	e := w.Section("mappings")
 	e.Len(len(ms), ms == nil)
 	total := 0
@@ -297,7 +285,7 @@ func (mapCodec) Encode(ms []Mapping) ([]byte, error) {
 const minRecBytes = 9
 
 func (c mapCodec) Decode(data []byte) ([]Mapping, error) {
-	r, err := artifact.OpenSchema(data, "map/v1")
+	r, err := artifact.OpenSchema(data, stageVersions[StageMapToUDM])
 	if err != nil {
 		return nil, err
 	}
@@ -365,40 +353,18 @@ var (
 	deriveCodec Codec[*deriveArtifact] = deriveBinaryCodec{}
 )
 
-// StoredArtifact is one disk-mirrored artifact blob plus the codec version
-// that wrote it, as returned by Engine.StoredArtifacts.
+// StoredArtifact is one artifact file read from the disk mirror (files are
+// named <stage>-<key>.art). Codec is a label for the caller's reports;
+// DecodeStoredArtifact picks the codec by Stage.
 type StoredArtifact struct {
 	Stage Stage
 	Codec string
 	Data  []byte
 }
 
-// StoredArtifacts reads the disk mirror's encoded artifacts for a job's
-// cache keys without decoding or running anything. It resolves the same
-// keys runJob would: parse from the pages hash, derive from the syntax
-// key — assuming no expert corrections, since resolving a correction set
-// requires executing the syntax stage (benchmark jobs pass Correct nil).
-// The blobs come back undecoded so DecodeStoredArtifact can measure the
-// warm path's decode cost in isolation — the measurement behind
-// BENCH_frontend.json's decode_ns_per_artifact derived figure.
-func (e *Engine) StoredArtifacts(job Job) ([]StoredArtifact, error) {
-	if e.disk == nil {
-		return nil, fmt.Errorf("pipeline: engine has no disk mirror")
-	}
-	var out []StoredArtifact
-	parseKey := Key(StageParse, hashPages(job.Vendor, job.Pages))
-	if data, ok := e.disk.GetBytes(StageParse, parseKey, parseCodec.Version()); ok {
-		out = append(out, StoredArtifact{Stage: StageParse, Codec: parseCodec.Version(), Data: data})
-	}
-	deriveKey := Key(StageDeriveHierarchy, Key(StageSyntaxValidate, parseKey), HashStrings())
-	if data, ok := e.disk.GetBytes(StageDeriveHierarchy, deriveKey, deriveCodec.Version()); ok {
-		out = append(out, StoredArtifact{Stage: StageDeriveHierarchy, Codec: deriveCodec.Version(), Data: data})
-	}
-	return out, nil
-}
-
 // DecodeStoredArtifact decodes one stored blob through its stage's wired
-// codec, discarding the result.
+// codec, discarding the result, so a benchmark can time the warm path's
+// decode in isolation.
 func DecodeStoredArtifact(a StoredArtifact) error {
 	switch a.Stage {
 	case StageParse:
@@ -413,18 +379,22 @@ func DecodeStoredArtifact(a StoredArtifact) error {
 }
 
 // noteDiskLoad records one successful warm decode from the disk mirror
-// into the job result (for the run manifest) and telemetry.
-func (jr *JobResult) noteDiskLoad(stage Stage, version string, bytes int) {
+// into the job result (for the run manifest) and telemetry, labelled with
+// the stage's version.
+func (jr *JobResult) noteDiskLoad(stage Stage, bytes int) {
 	if jr.DiskLoads == nil {
 		jr.DiskLoads = map[Stage]ArtifactLoad{}
 	}
+	version := stageVersions[stage]
 	jr.DiskLoads[stage] = ArtifactLoad{Codec: version, Bytes: int64(bytes)}
 	telemetry.GetCounter("nassim_artifact_decode_total", "codec", version).Inc()
 }
 
 // noteDiskLoadError records a rejected disk artifact (truncated, corrupt,
-// wrong version): the stage treats it as a cache miss and re-runs.
-func noteDiskLoadError(stage Stage, version string, err error) {
+// wrong schema tag, or failing a decode check): the stage treats it as a
+// cache miss and re-runs.
+func noteDiskLoadError(stage Stage, err error) {
+	version := stageVersions[stage]
 	telemetry.GetCounter("nassim_artifact_decode_errors_total", "codec", version).Inc()
 	telemetry.Logger("pipeline").Warn("disk artifact rejected; treating as cache miss",
 		"stage", string(stage), "codec", version, "err", fmt.Sprint(err))

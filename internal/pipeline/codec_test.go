@@ -156,8 +156,8 @@ func TestDeriveCodecRoundTripEquality(t *testing.T) {
 	}
 }
 
-// artifactFiles lists the cache files carrying the given codec version.
-func artifactFiles(t *testing.T, dir, version string) []string {
+// artifactFiles lists a stage's files in a cache directory.
+func artifactFiles(t *testing.T, dir string, stage Stage) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -165,7 +165,7 @@ func artifactFiles(t *testing.T, dir, version string) []string {
 	}
 	var out []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), "."+version) {
+		if strings.HasPrefix(e.Name(), string(stage)+"-") {
 			out = append(out, filepath.Join(dir, e.Name()))
 		}
 	}
@@ -201,13 +201,12 @@ func jobCodecs(job Job, jr *JobResult) (empiricalCodec, mapCodec) {
 		mapCodec{params: params, attrs: job.Map.Mapper.Attrs(), topK: job.Map.TopK}
 }
 
-// TestCorruptDiskArtifactIsCacheMiss is the resilience satellite: a
-// truncated, bit-flipped or forged artifact on disk must be treated as a
-// cache miss — the stage re-runs, the run succeeds, the output matches
-// the cold run, and the re-run restores the pristine artifact. The
-// container's content hash catches the mid-file flip and the length
-// framing the truncation. A forged artifact carries a valid hash, so the
-// codec's index checks must catch it.
+// TestCorruptDiskArtifactIsCacheMiss: a truncated, bit-flipped or forged
+// artifact on disk must be treated as a cache miss — the stage re-runs,
+// the run succeeds, the output matches the cold run, and the re-run
+// restores the pristine artifact. The container's content hash catches the
+// mid-file flip and the length framing the truncation. A forged artifact
+// carries a valid hash, so the decoder's checks must catch it.
 func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 	job := fullJob(t, devmodel.H3C, 0.02)
 	pristineDir := t.TempDir()
@@ -222,13 +221,21 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 	empC, mapC := jobCodecs(job, cold[0])
 
 	// check corrupts the one artifact of a stage in a copy of the cold
-	// mirror and runs a fresh engine over it.
-	check := func(t *testing.T, stage Stage, version string, corrupt func([]byte) []byte) {
+	// mirror, removes the artifacts of the stages in drop, and runs a fresh
+	// engine over it.
+	check := func(t *testing.T, stage Stage, corrupt func([]byte) []byte, drop ...Stage) {
 		dir := t.TempDir()
 		copyDir(t, pristineDir, dir)
-		files := artifactFiles(t, dir, version)
+		for _, st := range drop {
+			for _, f := range artifactFiles(t, dir, st) {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		files := artifactFiles(t, dir, stage)
 		if len(files) != 1 {
-			t.Fatalf("expected 1 %s artifact, found %d", version, len(files))
+			t.Fatalf("expected 1 %s artifact, found %d", stage, len(files))
 		}
 		pristine, err := os.ReadFile(files[0])
 		if err != nil {
@@ -262,15 +269,7 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 		}
 	}
 
-	mirrored := []struct {
-		stage   Stage
-		version string
-	}{
-		{StageParse, parseCodec.Version()},
-		{StageDeriveHierarchy, deriveCodec.Version()},
-		{StageEmpiricalValidate, empC.Version()},
-		{StageMapToUDM, mapC.Version()},
-	}
+	mirrored := []Stage{StageParse, StageDeriveHierarchy, StageEmpiricalValidate, StageMapToUDM}
 	corruptions := []struct {
 		name    string
 		corrupt func([]byte) []byte
@@ -287,8 +286,8 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, m := range mirrored {
-				t.Run(string(m.stage), func(t *testing.T) { check(t, m.stage, m.version, tc.corrupt) })
+			for _, st := range mirrored {
+				t.Run(string(st), func(t *testing.T) { check(t, st, tc.corrupt) })
 			}
 		})
 	}
@@ -296,7 +295,7 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 	// Forged artifacts: decoded, given one index outside the job's lists,
 	// and re-encoded, so the content hash is valid.
 	t.Run("forged_attr_index", func(t *testing.T) {
-		check(t, StageMapToUDM, mapC.Version(), func(b []byte) []byte {
+		check(t, StageMapToUDM, func(b []byte) []byte {
 			ms, err := mapC.Decode(b)
 			if err != nil {
 				t.Fatal(err)
@@ -310,7 +309,7 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 		})
 	})
 	t.Run("forged_corpus_index", func(t *testing.T) {
-		check(t, StageEmpiricalValidate, empC.Version(), func(b []byte) []byte {
+		check(t, StageEmpiricalValidate, func(b []byte) []byte {
 			rep, err := empC.Decode(b)
 			if err != nil {
 				t.Fatal(err)
@@ -322,6 +321,51 @@ func TestCorruptDiskArtifactIsCacheMiss(t *testing.T) {
 			}
 			return out
 		})
+	})
+
+	// Forged VDMs: the empirical artifact is dropped, so empirical has to
+	// run over whatever the derive artifact decodes to. Either forgery, if
+	// it loaded, would panic the empirical stage (a nil dereference; a
+	// corpus index out of range), so the derive decoder must reject it.
+	forgeVDM := func(t *testing.T, forge func(v *vdm.VDM)) func([]byte) []byte {
+		return func(b []byte) []byte {
+			a, err := deriveCodec.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forge(a.VDM)
+			out, err := deriveCodec.Encode(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	t.Run("forged_nil_view", func(t *testing.T) {
+		check(t, StageDeriveHierarchy, forgeVDM(t, func(v *vdm.VDM) {
+			var below []string
+			for name := range v.Views {
+				if name != v.RootView {
+					below = append(below, name)
+				}
+			}
+			if len(below) == 0 {
+				t.Fatal("VDM has no view below the root")
+			}
+			slices.Sort(below)
+			v.Views[below[0]] = nil
+		}), StageEmpiricalValidate)
+	})
+	t.Run("forged_template_id", func(t *testing.T) {
+		check(t, StageDeriveHierarchy, forgeVDM(t, func(v *vdm.VDM) {
+			used := sortedUsed(cold[0].Empirical.UsedCorpora)
+			if len(used) == 0 {
+				t.Fatal("cold run used no corpus")
+			}
+			if err := v.Index.Add(vdm.CorpusID(len(v.Corpora)+5), v.Corpora[used[0]].PrimaryCLI(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}), StageEmpiricalValidate)
 	})
 }
 
@@ -355,10 +399,9 @@ func TestColdMirrorsByteIdentical(t *testing.T) {
 	}
 	dir, first := mirror()
 	_, second := mirror()
-	for _, version := range []string{parseCodec.Version(), deriveCodec.Version(),
-		empiricalCodec{}.Version(), mapCodec{}.Version()} {
-		if n := len(artifactFiles(t, dir, version)); n != 1 {
-			t.Errorf("mirror holds %d %s files, want 1", n, version)
+	for _, st := range []Stage{StageParse, StageDeriveHierarchy, StageEmpiricalValidate, StageMapToUDM} {
+		if n := len(artifactFiles(t, dir, st)); n != 1 {
+			t.Errorf("mirror holds %d %s files, want 1", n, st)
 		}
 	}
 	for name, sum := range first {
@@ -427,8 +470,8 @@ func TestWarmRunDecodesZeroJSON(t *testing.T) {
 				t.Errorf("%s/%s: no disk load recorded", v, st)
 				continue
 			}
-			if !strings.HasSuffix(load.Codec, ".art") {
-				t.Errorf("%s/%s: loaded via codec %q, want a binary .art codec", v, st, load.Codec)
+			if load.Codec != stageVersions[st] {
+				t.Errorf("%s/%s: loaded via codec %q, want the stage's version %q", v, st, load.Codec, stageVersions[st])
 			}
 			if load.Bytes <= 0 {
 				t.Errorf("%s/%s: recorded %d bytes", v, st, load.Bytes)

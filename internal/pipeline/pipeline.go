@@ -2,11 +2,11 @@
 // workflow — Parser (§4) → formal syntax validation (§5.1) → hierarchy
 // derivation (§5.2) → empirical validation and live testing (§5.3) →
 // VDM-UDM mapping (§6) — as a first-class dataflow instead of ad-hoc
-// wiring. Each stage is typed, keyed by a content hash chained along the
-// stage graph, cached in an artifact store (in-memory, optionally mirrored
-// on disk), wrapped in telemetry spans/counters/timers, and guarded by the
-// run's context so cancellation stops the pipeline at the next stage
-// boundary. Live testing is the exception to the caching: its report
+// wiring. Each stage is typed, keyed by a hash of its version and its
+// inputs chained along the stage graph, cached in an artifact store
+// (in-memory, optionally mirrored on disk), wrapped in telemetry
+// spans/counters/timers, and guarded by the run's context so cancellation
+// stops the pipeline at the next stage boundary. Live testing is the exception to the caching: its report
 // records a device at one moment, so it is neither keyed nor stored. A
 // bounded worker pool assimilates multiple vendors concurrently;
 // per-vendor results are deterministic and independent of the worker
@@ -209,7 +209,7 @@ type JobResult struct {
 
 // ArtifactLoad describes one artifact decoded from the disk mirror.
 type ArtifactLoad struct {
-	Codec string `json:"codec"` // codec version tag, e.g. "parse.v1.art"
+	Codec string `json:"codec"` // the stage's version, which is also the artifact's schema tag
 	Bytes int64  `json:"bytes"` // serialized artifact size
 }
 
@@ -387,16 +387,16 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 		}
 	}
 	if disk != nil && e.disk != nil {
-		if data, ok := e.disk.GetBytes(stage, key, disk.Version()); ok {
+		if data, ok := e.disk.GetBytes(stage, key); ok {
 			if t, err := disk.Decode(data); err == nil {
-				jr.noteDiskLoad(stage, disk.Version(), len(data))
+				jr.noteDiskLoad(stage, len(data))
 				e.store.Put(key, t)
 				e.noteSkip(jr, stage)
 				return t, nil
 			} else {
-				// Truncated, corrupted, or stale-layout artifacts are cache
-				// misses, not errors: the stage re-runs and overwrites them.
-				noteDiskLoadError(stage, disk.Version(), err)
+				// Truncated, corrupted, or forged artifacts are cache misses,
+				// not errors: the stage re-runs and overwrites them.
+				noteDiskLoadError(stage, err)
 			}
 		}
 	}
@@ -407,7 +407,7 @@ func runStage[T any](ctx context.Context, e *Engine, jr *JobResult, stage Stage,
 	e.store.Put(key, t)
 	if disk != nil && e.disk != nil {
 		if data, err := disk.Encode(t); err == nil {
-			_ = e.disk.PutBytes(stage, key, data, disk.Version()) // best-effort mirror
+			_ = e.disk.PutBytes(stage, key, data) // best-effort mirror
 		}
 	}
 	return t, nil

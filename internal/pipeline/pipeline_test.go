@@ -188,8 +188,8 @@ func TestEngineDiskCacheWarmStart(t *testing.T) {
 	if n := added.Value() - before; n != 0 {
 		t.Errorf("warm run compiled %d CGMs, want 0", n)
 	}
-	want := map[Stage]string{StageParse: "parse.v1.art", StageDeriveHierarchy: "derive.v2.art",
-		StageEmpiricalValidate: "empirical.v1.art", StageMapToUDM: "map.v1.art"}
+	want := map[Stage]string{StageParse: "parse/v1", StageDeriveHierarchy: "derive/v2",
+		StageEmpiricalValidate: "empirical/v1", StageMapToUDM: "map/v1"}
 	for st, codec := range want {
 		if got := warm[0].DiskLoads[st].Codec; got != codec {
 			t.Errorf("%s loaded via %q, want %q", st, got, codec)

@@ -81,17 +81,17 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// path names an artifact file. The codec version is part of the name:
-// a codec or layout bump changes the filename, so a newer binary can
-// never read (or clobber) an older layout's artifact — stale files are
-// simply never found and the stage re-runs.
-func (d *DiskStore) path(stage Stage, key, version string) string {
-	return filepath.Join(d.dir, string(stage)+"-"+key+"."+version)
+// path names an artifact file <stage>-<key>.art. The key hashes the
+// stage's version, so a bumped stage never reads (or clobbers) a file an
+// older version wrote: the old name is never asked for and the stage
+// re-runs. Nothing deletes the orphaned file.
+func (d *DiskStore) path(stage Stage, key string) string {
+	return filepath.Join(d.dir, string(stage)+"-"+key+".art")
 }
 
-// GetBytes loads the serialized artifact for a stage/key/codec triple.
-func (d *DiskStore) GetBytes(stage Stage, key, version string) ([]byte, bool) {
-	data, err := os.ReadFile(d.path(stage, key, version))
+// GetBytes loads the serialized artifact stored under a stage and key.
+func (d *DiskStore) GetBytes(stage Stage, key string) ([]byte, bool) {
+	data, err := os.ReadFile(d.path(stage, key))
 	if err != nil {
 		return nil, false
 	}
@@ -100,7 +100,7 @@ func (d *DiskStore) GetBytes(stage Stage, key, version string) ([]byte, bool) {
 
 // PutBytes stores a serialized artifact. Writes go through a temp file +
 // rename so concurrent workers never observe a torn artifact.
-func (d *DiskStore) PutBytes(stage Stage, key string, data []byte, version string) error {
+func (d *DiskStore) PutBytes(stage Stage, key string, data []byte) error {
 	tmp, err := os.CreateTemp(d.dir, "tmp-*")
 	if err != nil {
 		return err
@@ -115,7 +115,7 @@ func (d *DiskStore) PutBytes(stage Stage, key string, data []byte, version strin
 		os.Remove(name)
 		return err
 	}
-	return os.Rename(name, d.path(stage, key, version))
+	return os.Rename(name, d.path(stage, key))
 }
 
 // framedHash is a sha256 over a string sequence in which each string is
@@ -138,11 +138,26 @@ func (f *framedHash) write(s string) {
 // sum returns the hex digest of everything written.
 func (f *framedHash) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }
 
-// Key derives a stage's cache key by hashing the stage name, the keys of
-// its upstream artifacts, and any extra inputs.
+// stageVersions holds the one version of each keyed stage. Key hashes it
+// in place of the stage name, so bumping a version re-keys that stage and,
+// through key chaining, every stage downstream; the mirrored stages'
+// codecs write it as the artifact's schema tag and reject any other. Bump
+// a stage's version whenever what it computes changes;
+// TestStageVersionTripwire fails when a stage's output moves under an
+// unchanged version. live_test has no version because it is never keyed.
+var stageVersions = map[Stage]string{
+	StageParse:             "parse/v1",
+	StageSyntaxValidate:    "syntax_cgm/v1",
+	StageDeriveHierarchy:   "derive/v2",
+	StageEmpiricalValidate: "empirical/v1",
+	StageMapToUDM:          "map/v1",
+}
+
+// Key derives a stage's cache key by hashing the stage's version, the keys
+// of its upstream artifacts, and any extra inputs.
 func Key(stage Stage, parts ...string) string {
 	f := newFramedHash()
-	f.write(string(stage))
+	f.write(stageVersions[stage])
 	for _, p := range parts {
 		f.write(p)
 	}

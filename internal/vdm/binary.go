@@ -154,5 +154,8 @@ func DecodeBinary(d *artifact.Dec) (*VDM, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("vdm: binary decode: %w", err)
 	}
+	if err := v.check(); err != nil {
+		return nil, err
+	}
 	return v, nil
 }

@@ -3,6 +3,7 @@ package vdm
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"nassim/internal/cgm"
 	"nassim/internal/corpus"
@@ -90,5 +91,45 @@ func Unmarshal(data []byte, typeOf cgm.TypeResolver) (*VDM, error) {
 		}
 	}
 	v.InvalidCLIs = p.InvalidCLIs
+	if err := v.check(); err != nil {
+		return nil, err
+	}
 	return v, nil
+}
+
+// check rejects a loaded model that a reader would index out of bounds: a
+// nil view, an EnterCorpus outside [-1, len(Corpora)), or a pair,
+// invalid-CLI record or template-index ID naming a corpus outside
+// [0, len(Corpora)). DecodeBinary and Unmarshal run it last, so a forged
+// artifact or document is a decode error, never a panic in a later stage.
+func (v *VDM) check() error {
+	n := len(v.Corpora)
+	for name, info := range v.Views {
+		if info == nil {
+			return fmt.Errorf("vdm: view %q has no record", name)
+		}
+		if info.EnterCorpus < -1 || info.EnterCorpus >= n {
+			return fmt.Errorf("vdm: view %q enter corpus %d out of range [-1,%d)", name, info.EnterCorpus, n)
+		}
+	}
+	for _, p := range v.Pairs {
+		if p.Corpus < 0 || p.Corpus >= n {
+			return fmt.Errorf("vdm: pair corpus %d out of range [0,%d)", p.Corpus, n)
+		}
+	}
+	for _, ic := range v.InvalidCLIs {
+		if ic.Corpus < 0 || ic.Corpus >= n {
+			return fmt.Errorf("vdm: invalid-CLI corpus %d out of range [0,%d)", ic.Corpus, n)
+		}
+	}
+	if v.Index != nil {
+		// Atoi, not ParseCorpusID: this runs on every warm load, and
+		// ParseCorpusID's Sscanf costs about 65 times more per ID.
+		for _, id := range v.Index.IDs() {
+			if i, err := strconv.Atoi(id); err != nil || i < 0 || i >= n {
+				return fmt.Errorf("vdm: template id %q out of range [0,%d)", id, n)
+			}
+		}
+	}
+	return nil
 }

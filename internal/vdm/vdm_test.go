@@ -1,9 +1,11 @@
 package vdm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"nassim/internal/artifact"
 	"nassim/internal/cgm"
 	"nassim/internal/clisyntax"
 	"nassim/internal/corpus"
@@ -165,5 +167,50 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte(`{"Corpora": ["not-an-object"]}`), nil); err == nil {
 		t.Error("bad corpus accepted")
+	}
+}
+
+// TestLoadRejectsOutOfRangeModel: a model that names a view without a
+// record, or a corpus it does not hold, is a load error in both formats.
+// Loaded, the two documents would panic hierarchy.ValidateHierarchy (a nil
+// dereference; index 7 out of range with length 1).
+func TestLoadRejectsOutOfRangeModel(t *testing.T) {
+	const doc = `{"Vendor": "x", "RootView": "system", "Corpora": [{"CLIs": ["sysname <name>"]}],
+		"Views": {"system": {"Name": "system", "EnterCorpus": -1}, "bgp": %s}}`
+	for name, view := range map[string]string{
+		"null_view":          `null`,
+		"enter_out_of_range": `{"Name": "bgp", "Parent": "system", "EnterCorpus": 7}`,
+	} {
+		if _, err := Unmarshal([]byte(fmt.Sprintf(doc, view)), nil); err == nil {
+			t.Errorf("%s: Unmarshal accepted the document", name)
+		}
+	}
+
+	for name, forge := range map[string]func(v *VDM){
+		"pristine":    func(*VDM) {},
+		"nil_view":    func(v *VDM) { v.Views["BGP view"] = nil },
+		"pair":        func(v *VDM) { v.Pairs[1].Corpus = len(v.Corpora) },
+		"invalid_cli": func(v *VDM) { v.InvalidCLIs = []InvalidCLI{{Corpus: -1, CLI: "x"}} },
+		"template_id": func(v *VDM) {
+			if err := v.Index.Add(CorpusID(len(v.Corpora)+5), v.Corpora[0].PrimaryCLI(), nil); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		v := fixture(t)
+		forge(v)
+		w := artifact.NewWriter("test/v1", 0)
+		v.AppendBinary(w.Section("vdm"))
+		r, err := artifact.Open(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.Section("vdm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBinary(d); (err == nil) != (name == "pristine") {
+			t.Errorf("%s: DecodeBinary error %v", name, err)
+		}
 	}
 }

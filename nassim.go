@@ -196,14 +196,6 @@ func ValidateConfigs(ctx context.Context, v *VDM, files []ConfigFile) *Empirical
 	return empirical.ValidateConfigs(ctx, v, files)
 }
 
-// ValidateConfigsWorkers is ValidateConfigs with a bounded per-file worker
-// pool: values below 2 validate on the calling goroutine (ValidateConfigs'
-// default). Every count runs the same validator, and the report is
-// identical at any worker count.
-func ValidateConfigsWorkers(ctx context.Context, v *VDM, files []ConfigFile, workers int) *EmpiricalReport {
-	return empirical.ValidateConfigsOpts(ctx, v, files, empirical.Options{Workers: workers})
-}
-
 // TestUnusedCommands exercises commands unused by empirical configurations
 // against a (simulated) device reachable through exec, verifying accepted
 // instances via showCmd (§5.3). It is the one live-testing path: the

@@ -50,9 +50,6 @@ func ServeTelemetry(addr string) (*TelemetryServer, error) { return telemetry.Se
 // capacity; pipeline stages start recording spans immediately.
 func EnableTracing(capacity int) { telemetry.EnableTracing(capacity) }
 
-// DisableTracing uninstalls the span recorder; Span calls return to no-ops.
-func DisableTracing() { telemetry.DisableTracing() }
-
 // TraceSnapshot returns the recorded spans, oldest first, or nil when
 // tracing is disabled.
 func TraceSnapshot() []SpanRecord {
@@ -75,20 +72,10 @@ type RunReport = obsreport.Manifest
 // RunReportSchema is the manifest document's schema identifier.
 const RunReportSchema = obsreport.ManifestSchema
 
-// LoadRunReport reads a manifest written by a previous run back from disk
-// and validates its schema.
-func LoadRunReport(path string) (*RunReport, error) { return obsreport.Load(path) }
-
 // ExportChromeTrace writes the active span recorder's ring buffer in the
 // Chrome trace-event format (loadable in chrome://tracing and Perfetto).
 // It errors when tracing is not enabled.
 func ExportChromeTrace(w io.Writer) error { return obsreport.ExportActiveTrace(w) }
-
-// WriteChromeTrace renders an arbitrary span slice (e.g. a saved
-// TraceSnapshot) in the Chrome trace-event format.
-func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
-	return obsreport.WriteChromeTrace(w, spans)
-}
 
 func init() {
 	reg := telemetry.Default()

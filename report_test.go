@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"nassim"
+	"nassim/internal/obsreport"
 )
 
 // TestRunReportAcceptance is the observatory's acceptance check through the
 // public API: a four-vendor run with Options.Report emits a
 // schema-versioned manifest that is byte-identical across repeated warm
-// runs outside its timing block, round-trips through LoadRunReport, and is
+// runs outside its timing block, round-trips through obsreport.Load, and is
 // mirrored under the cache directory.
 func TestRunReportAcceptance(t *testing.T) {
 	cacheDir := t.TempDir()
@@ -77,14 +78,14 @@ func TestRunReportAcceptance(t *testing.T) {
 
 	// The manifest is mirrored alongside the cached artifacts.
 	mpath := filepath.Join(cacheDir, "manifests", cold.Report.RunID+".json")
-	loaded, err := nassim.LoadRunReport(mpath)
+	loaded, err := obsreport.Load(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.RunID != cold.Report.RunID {
 		t.Errorf("loaded run ID %s, want %s", loaded.RunID[:8], cold.Report.RunID[:8])
 	}
-	if _, err := nassim.LoadRunReport(filepath.Join(cacheDir, "manifests", "latest.json")); err != nil {
+	if _, err := obsreport.Load(filepath.Join(cacheDir, "manifests", "latest.json")); err != nil {
 		t.Errorf("latest.json: %v", err)
 	}
 

@@ -26,10 +26,6 @@ type (
 	FaultListener = faultnet.Listener
 	// RetryPolicy tunes the resilient client's retry loop.
 	RetryPolicy = device.RetryPolicy
-	// BreakerConfig tunes the per-device circuit breaker.
-	BreakerConfig = device.BreakerConfig
-	// BreakerState is a circuit breaker's automaton state.
-	BreakerState = device.BreakerState
 	// ResilientOptions tunes DialDeviceResilient.
 	ResilientOptions = device.ResilientOptions
 	// ResilientDeviceClient is a device client hardened for flaky
@@ -37,17 +33,6 @@ type (
 	// breaking, and view-stack replay after reconnects.
 	ResilientDeviceClient = device.ResilientClient
 )
-
-// Circuit-breaker states, re-exported for BreakerState comparisons.
-const (
-	BreakerClosed   = device.BreakerClosed
-	BreakerOpen     = device.BreakerOpen
-	BreakerHalfOpen = device.BreakerHalfOpen
-)
-
-// ErrBreakerOpen is returned (wrapped) by resilient clients fast-failing
-// through an open circuit breaker.
-var ErrBreakerOpen = device.ErrBreakerOpen
 
 // StandardChaosProfile is the standard chaos profile used by the chaos
 // suite, `nassim run -chaos-profile standard`, and the chaos benchmark:

@@ -121,8 +121,6 @@ type (
 	NetconfServer = netconf.Server
 	// NetconfClient is a NETCONF session.
 	NetconfClient = netconf.Client
-	// NetconfEntry is one datastore leaf value.
-	NetconfEntry = netconf.Entry
 )
 
 // NewNetconfStore builds a datastore over the device's YANG modules.
